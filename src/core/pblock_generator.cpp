@@ -59,9 +59,14 @@ std::optional<PBlock> generate_pblock(const Device& device,
   // picks up extra M / BRAM / DSP columns while the aspect stays fixed for
   // the slice part).
   for (int width = dims.width; width <= device.num_columns(); ++width) {
-    // Slide the rectangle over all anchors, preferring the requested one.
+    // Slide the rectangle down from the requested row. A window's slice
+    // counts do not depend on row0 and its BRAM/DSP site counts repeat every
+    // kBramRowPitch rows, so if any row0 covers the needs, the first one
+    // lies within kBramRowPitch rows of the anchor row.
     for (int row0 = opts.anchor_row;
-         row0 + dims.height <= device.rows(); ++row0) {
+         row0 < opts.anchor_row + kBramRowPitch &&
+         row0 + dims.height <= device.rows();
+         ++row0) {
       // Running resource count over a sliding column window.
       const int row_hi = row0 + dims.height - 1;
       FabricResources window;

@@ -1,8 +1,8 @@
 #include "ml/model_io.hpp"
 
+#include <array>
 #include <charconv>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <ostream>
 
@@ -12,6 +12,20 @@ namespace mf {
 namespace {
 
 constexpr std::size_t kMaxVec = 1u << 28;  // 256M doubles: corruption guard
+
+/// The C locale's isspace: ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Value of each lowercase hex digit; -1 for every other byte.
+constexpr std::array<std::int8_t, 256> kHexDigit = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (int d = 0; d < 10; ++d) table['0' + d] = static_cast<std::int8_t>(d);
+  for (int d = 0; d < 6; ++d) table['a' + d] = static_cast<std::int8_t>(10 + d);
+  return table;
+}();
 
 }  // namespace
 
@@ -61,80 +75,76 @@ void ModelWriter::endl() {
   line_open_ = false;
 }
 
-bool ModelReader::next_token(std::string& token) {
+bool ModelReader::skip_space() {
   if (!ok_) return false;
-  if (!(in_ >> token)) {
-    ok_ = false;
-    return false;
-  }
-  // std::getline-free input skips '\r' as whitespace already, but a token
-  // at end of a CRLF line picks the '\r' up via some stream buffers; strip.
-  while (!token.empty() && token.back() == '\r') token.pop_back();
-  if (token.empty()) {
+  while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  if (pos_ == text_.size()) {
     ok_ = false;
     return false;
   }
   return true;
 }
 
+bool ModelReader::ends_token(std::size_t pos) const noexcept {
+  return pos == text_.size() || is_space(text_[pos]);
+}
+
+bool ModelReader::next_token(std::string_view& token) {
+  if (!skip_space()) return false;
+  const std::size_t begin = pos_;
+  while (!ends_token(pos_)) ++pos_;
+  token = text_.substr(begin, pos_ - begin);
+  return true;
+}
+
+template <typename T>
+T ModelReader::integer() {
+  if (!skip_space()) return 0;
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(text_.data() + pos_,
+                                         text_.data() + text_.size(), value);
+  pos_ = static_cast<std::size_t>(ptr - text_.data());
+  if (ec != std::errc{} || !ends_token(pos_)) {
+    ok_ = false;
+    return 0;
+  }
+  return value;
+}
+
 double ModelReader::f64() {
-  std::string token;
-  if (!next_token(token)) return 0.0;
-  if (token.size() != 17 || token[0] != 'x') {
+  // The token must be exactly `x` plus 16 lowercase hex digits.
+  if (!skip_space()) return 0.0;
+  const std::size_t begin = pos_;
+  if (text_.size() - begin < 17 || text_[begin] != 'x' ||
+      !ends_token(begin + 17)) {
     ok_ = false;
     return 0.0;
   }
   std::uint64_t bits = 0;
-  for (std::size_t i = 1; i < token.size(); ++i) {
-    const char c = token[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      ok_ = false;
-      return 0.0;
-    }
-    bits = (bits << 4) | digit;
+  int invalid = 0;  // any -1 digit sets the sign bit
+  for (std::size_t i = begin + 1; i < begin + 17; ++i) {
+    const int digit = kHexDigit[static_cast<unsigned char>(text_[i])];
+    invalid |= digit;
+    bits = (bits << 4) | static_cast<std::uint64_t>(digit & 0xF);
   }
+  if (invalid < 0) {
+    ok_ = false;
+    return 0.0;
+  }
+  pos_ = begin + 17;
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof value);
   return value;
 }
 
-std::int64_t ModelReader::i64() {
-  std::string token;
-  if (!next_token(token)) return 0;
-  std::int64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    ok_ = false;
-    return 0;
-  }
-  return value;
-}
+std::int64_t ModelReader::i64() { return integer<std::int64_t>(); }
 
-std::uint64_t ModelReader::u64() {
-  std::string token;
-  if (!next_token(token)) return 0;
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    ok_ = false;
-    return 0;
-  }
-  return value;
-}
+std::uint64_t ModelReader::u64() { return integer<std::uint64_t>(); }
 
 std::string ModelReader::str() {
-  std::string token;
+  std::string_view token;
   if (!next_token(token)) return {};
-  return token;
+  return std::string(token);
 }
 
 std::vector<double> ModelReader::vec() {

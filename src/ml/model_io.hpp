@@ -12,11 +12,15 @@
 // ModelReader never throws on malformed input: the first bad token latches
 // a fail flag and every subsequent read returns a zero value, so bundle
 // loaders can parse optimistically and reject once at the end (the same
-// "fail loudly, never half-load" stance as flow/serialize).
+// "fail loudly, never half-load" stance as flow/serialize). It reads a
+// string_view of the whole text in place, splitting tokens on the C
+// locale's whitespace (' ' and '\t' through '\r') as `istream >> string`
+// does, and parses numbers where they lie, without copying them out.
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mf {
@@ -42,7 +46,8 @@ class ModelWriter {
 
 class ModelReader {
  public:
-  explicit ModelReader(std::istream& in) : in_(in) {}
+  /// Reads the tokens of `text`, which must outlive the reader.
+  explicit ModelReader(std::string_view text) : text_(text) {}
 
   [[nodiscard]] double f64();
   [[nodiscard]] std::int64_t i64();
@@ -57,9 +62,16 @@ class ModelReader {
   void fail() noexcept { ok_ = false; }
 
  private:
-  bool next_token(std::string& token);
+  /// Skips whitespace; false (latching the fail flag) at the end of text.
+  bool skip_space();
+  /// True when a token running up to `pos` ends there.
+  [[nodiscard]] bool ends_token(std::size_t pos) const noexcept;
+  bool next_token(std::string_view& token);
+  template <typename T>
+  T integer();
 
-  std::istream& in_;
+  std::string_view text_;
+  std::size_t pos_ = 0;
   bool ok_ = true;
 };
 

@@ -135,10 +135,19 @@ class Packer {
     }
     column_count_ = static_cast<int>(cols.size());
     height_ = height;
-    columns_ = cols;
+    // Dense position index over the whole PBlock; BRAM, DSP and clock
+    // columns keep the no-slice sentinel.
+    by_pos_.assign(static_cast<std::size_t>(pblock_.area()), kNoSlice);
     for (std::size_t idx = 0; idx < slices_.size(); ++idx) {
-      by_pos_[{slices_[idx].col, slices_[idx].row}] = idx;
+      by_pos_[pos_index(slices_[idx].col, slices_[idx].row)] = idx;
     }
+  }
+
+  /// Offset of (col, row) in by_pos_; the position must lie in the PBlock.
+  [[nodiscard]] std::size_t pos_index(int col, int row) const noexcept {
+    return static_cast<std::size_t>(row - pblock_.row_lo) *
+               static_cast<std::size_t>(pblock_.width()) +
+           static_cast<std::size_t>(col - pblock_.col_lo);
   }
 
   /// Try to place `cell` close to one of its already-placed input drivers
@@ -159,10 +168,13 @@ class Packer {
       static constexpr int kRowOffsets[] = {0, -1, 1, -2, 2, -3, 3, -4, 4};
       for (int drow : kRowOffsets) {
         for (int dcol : kColOffsets) {
-          const auto it = by_pos_.find({dp.col + dcol, dp.row + drow});
-          if (it == by_pos_.end()) continue;
-          if (fits(slice_at(it->second))) {
-            commit(cell, it->second);
+          const int col = dp.col + dcol;
+          const int row = dp.row + drow;
+          if (!pblock_.contains(col, row)) continue;
+          const std::size_t idx = by_pos_[pos_index(col, row)];
+          if (idx == kNoSlice) continue;
+          if (fits(slice_at(idx))) {
+            commit(cell, idx);
             return true;
           }
         }
@@ -541,9 +553,12 @@ class Packer {
   const PBlock& pblock_;
   const DetailedPlaceOptions& opts_;
 
+  static constexpr std::size_t kNoSlice = static_cast<std::size_t>(-1);
+
   std::vector<SliceState> slices_;
-  std::map<std::pair<int, int>, std::size_t> by_pos_;
-  std::vector<int> columns_;
+  /// Slice index at each PBlock position, row-major from (col_lo, row_lo);
+  /// kNoSlice where the column holds no slices.
+  std::vector<std::size_t> by_pos_;
   int column_count_ = 0;
   int height_ = 0;
   double spread_ = 1.0;

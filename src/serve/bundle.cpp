@@ -1,5 +1,6 @@
 #include "serve/bundle.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -27,9 +28,26 @@ std::string checksum_of(const std::string& payload) {
   return out.str();
 }
 
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
+/// Splits text into lines as std::getline does (a last line without '\n'
+/// still counts; a trailing '\n' starts no empty line) and drops one
+/// trailing '\r' from each line, so CRLF files read like LF ones.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) : text_(text) {}
+
+  bool next(std::string_view& line) {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+    line = text_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    return true;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 bool set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -85,21 +103,21 @@ std::string bundle_to_text(const ModelBundle& bundle) {
 
 std::optional<ModelBundle> bundle_from_text(const std::string& text,
                                             std::string* error) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) {
+  LineCursor lines(text);
+  std::string_view line;
+  if (!lines.next(line)) {
     set_error(error, "empty file");
     return std::nullopt;
   }
-  strip_cr(line);
   const std::string magic = std::string(kMagic) + " v";
-  if (line.rfind(magic, 0) != 0) {
+  if (!line.starts_with(magic)) {
     set_error(error, "bad magic: not a model bundle");
     return std::nullopt;
   }
-  const std::string version_text = line.substr(magic.size());
+  const std::string_view version_text = line.substr(magic.size());
   if (version_text != std::to_string(kBundleFormatVersion)) {
-    set_error(error, "unsupported bundle format version v" + version_text);
+    set_error(error, "unsupported bundle format version v" +
+                         std::string(version_text));
     return std::nullopt;
   }
 
@@ -110,15 +128,13 @@ std::optional<ModelBundle> bundle_from_text(const std::string& text,
   bool footer_seen = false;
   std::size_t footer_lines = 0;
   std::string footer_checksum;
-  while (std::getline(in, line)) {
-    strip_cr(line);
-    if (line.rfind(kFooterPrefix, 0) == 0) {
-      std::istringstream footer(
-          line.substr(std::string(kFooterPrefix).size()));
-      std::string count_text;
-      std::string keyword;
-      if (!(footer >> count_text >> keyword >> footer_checksum) ||
-          keyword != "checksum") {
+  while (lines.next(line)) {
+    if (line.starts_with(kFooterPrefix)) {
+      ModelReader footer(line.substr(std::string_view(kFooterPrefix).size()));
+      const std::string count_text = footer.str();
+      const std::string keyword = footer.str();
+      footer_checksum = footer.str();
+      if (!footer.ok() || keyword != "checksum") {
         set_error(error, "malformed footer");
         return std::nullopt;
       }
@@ -156,8 +172,7 @@ std::optional<ModelBundle> bundle_from_text(const std::string& text,
     return std::nullopt;
   }
 
-  std::istringstream payload_in(payload);
-  ModelReader reader(payload_in);
+  ModelReader reader(payload);
   ModelBundle bundle;
   bundle.name = reader.str();
   bundle.version = static_cast<int>(reader.i64_in(1, 1 << 20));
@@ -263,8 +278,7 @@ std::optional<ModelBundle> bundle_from_binary(std::string_view bytes,
     set_error(error, "malformed bundle provenance");
     return std::nullopt;
   }
-  std::istringstream estimator_in{std::string(*estimator_bytes)};
-  ModelReader reader(estimator_in);
+  ModelReader reader(*estimator_bytes);
   std::optional<CfEstimator> estimator = CfEstimator::load(reader);
   if (!estimator) {
     set_error(error, "malformed estimator payload");

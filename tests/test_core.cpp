@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/cf_search.hpp"
 #include "core/features.hpp"
@@ -124,6 +126,138 @@ TEST(PBlockDims, AreaTracksTarget) {
   EXPECT_GE(static_cast<long>(d1.width) * d1.height, p.report.est_slices);
   EXPECT_GT(static_cast<long>(d2.width) * d2.height,
             static_cast<long>(d1.width) * d1.height);
+}
+
+/// The generator before its row scan was bounded: every `row0` from the
+/// anchor row to the bottom of the device, at every width. generate_pblock
+/// stops after kBramRowPitch rows, which is exact only while a window's
+/// resources depend on `row0` solely through `row0 % kBramRowPitch`.
+std::optional<PBlock> reference_generate_pblock(const Device& device,
+                                                const ResourceReport& report,
+                                                const ShapeReport& shape,
+                                                double cf,
+                                                const PBlockGenOptions& opts) {
+  FabricResources needs;
+  needs.slices =
+      std::max(1, static_cast<int>(std::ceil(report.est_slices * cf)));
+  needs.slices_m =
+      static_cast<int>(std::ceil(report.est_slices_m * std::max(1.0, cf)));
+  needs.bram36 = report.bram36;
+  needs.dsp = report.dsp;
+  PBlockDims dims = pblock_dims(report, shape, cf, device);
+  const int hard_rows =
+      std::max(needs.bram36, (needs.dsp + kDspPerPitch - 1) / kDspPerPitch) *
+      kBramRowPitch;
+  if (hard_rows > dims.height) {
+    dims.height = std::min(hard_rows + 1, device.rows());
+  }
+  for (int width = dims.width; width <= device.num_columns(); ++width) {
+    for (int row0 = opts.anchor_row; row0 + dims.height <= device.rows();
+         ++row0) {
+      const int row_hi = row0 + dims.height - 1;
+      FabricResources window;
+      int lo = 0;
+      auto add_col = [&](int c, int sign) {
+        switch (device.column(c)) {
+          case ColumnKind::ClbL:
+            window.slices += sign * dims.height;
+            break;
+          case ColumnKind::ClbM:
+            window.slices += sign * dims.height;
+            window.slices_m += sign * dims.height;
+            break;
+          case ColumnKind::Bram:
+            window.bram36 += sign * Device::bram_sites_in_rows(row0, row_hi);
+            break;
+          case ColumnKind::Dsp:
+            window.dsp += sign * Device::dsp_sites_in_rows(row0, row_hi);
+            break;
+          case ColumnKind::Clock:
+            break;
+        }
+      };
+      for (int c = 0; c < width && c < device.num_columns(); ++c) {
+        add_col(c, +1);
+      }
+      PBlock best{};
+      double best_score = 0.0;
+      for (int hi = width - 1; hi < device.num_columns(); ++hi) {
+        if (hi >= width) {
+          add_col(hi, +1);
+          add_col(lo, -1);
+          ++lo;
+        }
+        if (lo < opts.anchor_col || !window.covers(needs)) continue;
+        if (opts.policy == AnchorPolicy::FirstFit) {
+          return PBlock{lo, hi, row0, row_hi};
+        }
+        const double score =
+            (window.slices - needs.slices) +
+            25.0 * std::max(0, window.bram36 - needs.bram36) +
+            25.0 * std::max(0, window.dsp - needs.dsp);
+        if (best.empty() || score < best_score) {
+          best = PBlock{lo, hi, row0, row_hi};
+          best_score = score;
+        }
+      }
+      if (!best.empty()) return best;
+    }
+    if (width == device.num_columns()) break;
+  }
+  return std::nullopt;
+}
+
+TEST(PBlockGenerator, FiveRowScanMatchesFullScan) {
+  // Seeded random needs: slice-, M-slice-, BRAM- and DSP-driven reports,
+  // a third of them hard-block dominated (a few slices, many sites), on
+  // both devices under both anchor policies with non-zero anchors.
+  Rng rng(0x9b10c);
+  const auto pick = [&rng](int lo, int hi) {
+    return static_cast<int>(rng.uniform_int(lo, hi));
+  };
+  const Device devices[] = {xc7z020_model(), xc7z045_model()};
+  int compared = 0;
+  int found = 0;
+  for (int draw = 0; draw < 300; ++draw) {
+    ResourceReport report;
+    ShapeReport shape;
+    const int kind = draw % 3;
+    report.est_slices = kind == 2 ? pick(1, 40)
+                                  : pick(1, 2500);
+    report.est_slices_m =
+        pick(0, 3) == 0 ? pick(0, report.est_slices) : 0;
+    report.bram36 = kind == 0 ? 0 : pick(0, kind == 2 ? 40 : 8);
+    report.dsp = kind == 0 ? 0 : pick(0, kind == 2 ? 60 : 12);
+    shape.bbox_w = pick(1, 60);
+    shape.bbox_h = pick(1, 60);
+    shape.min_height = pick(1, 48);
+    const double cf = rng.uniform(0.5, 3.0);
+    for (const Device& device : devices) {
+      for (AnchorPolicy policy :
+           {AnchorPolicy::FirstFit, AnchorPolicy::MinWaste}) {
+        PBlockGenOptions opts;
+        opts.policy = policy;
+        opts.anchor_row = draw % 4 == 0 ? 0 : pick(1, 23);
+        opts.anchor_col = draw % 5 == 0 ? 0 : pick(1, 31);
+        const std::optional<PBlock> fast =
+            generate_pblock(device, report, shape, cf, opts);
+        const std::optional<PBlock> full =
+            reference_generate_pblock(device, report, shape, cf, opts);
+        ASSERT_EQ(fast, full)
+            << device.name() << " draw " << draw << " cf " << cf
+            << " slices " << report.est_slices << " m "
+            << report.est_slices_m << " bram " << report.bram36 << " dsp "
+            << report.dsp << " anchor " << opts.anchor_col << ","
+            << opts.anchor_row;
+        ++compared;
+        found += fast.has_value();
+      }
+    }
+  }
+  // Both outcomes must be exercised, and most draws must place.
+  EXPECT_EQ(compared, 1200);
+  EXPECT_GT(found, compared / 2);
+  EXPECT_LT(found, compared);
 }
 
 TEST(CfSearch, FindsMinimalFeasible) {

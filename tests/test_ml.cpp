@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "common/check.hpp"
@@ -11,6 +15,7 @@
 #include "ml/linreg.hpp"
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
+#include "ml/model_io.hpp"
 #include "ml/rforest.hpp"
 #include "ml/scaler.hpp"
 
@@ -300,6 +305,136 @@ TEST(Dataset, SubsetPreservesOrder) {
   ASSERT_EQ(sub.size(), 3u);
   EXPECT_EQ(sub.y[0], 2.0);
   EXPECT_EQ(sub.y[2], 7.0);
+}
+
+// -- model token streams ------------------------------------------------------
+
+/// What ModelReader::f64 must return for one `istream >> string` token.
+std::optional<double> reference_f64(const std::string& token) {
+  if (token.size() != 17 || token[0] != 'x') return std::nullopt;
+  std::uint64_t bits = 0;
+  for (std::size_t i = 1; i < token.size(); ++i) {
+    const char c = token[i];
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
+      return std::nullopt;
+    }
+    bits = (bits << 4) | static_cast<std::uint64_t>(
+                             c <= '9' ? c - '0' : c - 'a' + 10);
+  }
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof value);
+  return value;
+}
+
+template <typename T>
+std::optional<T> reference_integer(const std::string& token) {
+  T value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc{} || ptr != token.data() + token.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+TEST(ModelIo, ReaderTokenisesLikeIstream) {
+  // Seeded byte soup over every C-locale whitespace byte, bytes that other
+  // locales treat as space (NUL, 0x85, 0xA0) and the characters numbers
+  // are made of. Each read must agree with the same read applied to the
+  // tokens `istream >> string` splits, up to the first failure, which
+  // latches.
+  const std::string alphabet = std::string(" \t\n\v\f\r", 6) +
+                               std::string("\0\x85\xA0", 3) +
+                               "x0123456789abcdefABF-+.#";
+  Rng rng(0x70c3);
+  int parsed = 0;
+  int rejected = 0;
+  for (int round = 0; round < 1000; ++round) {
+    std::string text;
+    const int tokens = static_cast<int>(rng.uniform_int(0, 12));
+    for (int t = 0; t < tokens; ++t) {
+      text += alphabet[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+      switch (rng.uniform_int(0, 2)) {
+        case 0: {  // a valid double token
+          std::ostringstream out;
+          ModelWriter writer(out);
+          writer.f64(rng.uniform(-1e6, 1e6));
+          text += out.str();
+          break;
+        }
+        case 1:  // a valid integer token
+          text += std::to_string(rng.uniform_int(-100000, 100000));
+          break;
+        default:  // noise
+          for (int k = static_cast<int>(rng.uniform_int(1, 18)); k > 0; --k) {
+            text += alphabet[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) -
+                                       1))];
+          }
+      }
+    }
+    std::istringstream split(text);
+    std::vector<std::string> expected;
+    for (std::string token; split >> token;) expected.push_back(token);
+
+    ModelReader reader(text);
+    bool ok = true;
+    for (std::size_t i = 0; i <= expected.size() && ok; ++i) {
+      const bool have = i < expected.size();
+      const std::string token = have ? expected[i] : std::string();
+      // Mostly read a token as what it is, so rounds get past their first
+      // token; otherwise read it as anything.
+      std::int64_t kind = rng.uniform_int(0, 3);
+      if (have && rng.uniform_int(0, 4) != 0) {
+        if (reference_f64(token)) {
+          kind = 3;
+        } else if (reference_integer<std::int64_t>(token)) {
+          kind = rng.uniform_int(1, 2);
+        }
+      }
+      switch (kind) {
+        case 0: {
+          const std::string got = reader.str();
+          ok = have;
+          if (ok) {
+            EXPECT_EQ(got, token) << "round " << round;
+          }
+          break;
+        }
+        case 1: {
+          const std::int64_t got = reader.i64();
+          const auto want = reference_integer<std::int64_t>(token);
+          ok = have && want.has_value();
+          if (ok) {
+            EXPECT_EQ(got, *want) << "round " << round;
+          }
+          break;
+        }
+        case 2: {
+          const std::uint64_t got = reader.u64();
+          const auto want = reference_integer<std::uint64_t>(token);
+          ok = have && want.has_value();
+          if (ok) {
+            EXPECT_EQ(got, *want) << "round " << round;
+          }
+          break;
+        }
+        default: {
+          const double got = reader.f64();
+          const auto want = reference_f64(token);
+          ok = have && want.has_value();
+          if (ok) {
+            EXPECT_EQ(std::memcmp(&got, &*want, sizeof got), 0)
+                << "round " << round;
+          }
+        }
+      }
+      ASSERT_EQ(reader.ok(), ok) << "round " << round << " token " << i;
+      ++(ok ? parsed : rejected);
+    }
+  }
+  EXPECT_GT(parsed, 1000);
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

@@ -20,8 +20,11 @@
 # daemon costs chaos clients only latency, never a wrong answer;
 # srv_parallel_jobs: the protocol/coalescer/reload suites under
 # contention; srv_chaos: the resilient-client retry machinery crossed
-# with the supervisor's respawn loop) all re-run under ASan/UBSan and
-# TSan here via each flavour's ctest.
+# with the supervisor's respawn loop), and the feasibility-oracle digests
+# (oracle_digest_jobs: min-CF searches of the 2,000-module sweep and the
+# cnvW1A1 blocks fanned out at MF_TEST_JOBS=8, so TSan crosses the
+# labelling fan-out and ASan the packer's dense position index) all re-run
+# under ASan/UBSan and TSan here via each flavour's ctest.
 
 set -eu
 
