@@ -1,28 +1,32 @@
-// Stitcher engine bench: incremental-vs-reference A/B, multi-start
-// scaling, and the engine-portfolio race, on the fig5-scale cnvW1A1
-// stitch problem (constant CF 1.5) plus a device-filling synthetic.
+// Stitcher engine bench: lone SA against pinned constants, multi-start
+// scaling, and the engine-portfolio race, on the fig5-scale cnvW1A1 stitch
+// problem (constant CF 1.5) plus a device-filling synthetic.
 //
 // Four claims are measured and *checked*, not just timed:
-//   1. the incremental cost engine (cached net boxes, bitset occupancy,
-//      memoized anchor scans) returns bit-identical placements to the
-//      pre-change reference engine while moving >= 3x faster;
+//   1. lone SA on the fig5 problem reproduces its pinned result -- cost,
+//      unplaced count, move counters, positions and cost-trace hashes --
+//      captured while the naive reference engine still agreed with the
+//      incremental one bit for bit;
 //   2. multi-start annealing (restarts > 1) returns bit-identical results
 //      at every `jobs` value;
 //   3. the engine portfolio beats lone SA on both problems: >= 1.5x fewer
 //      moves to reach SA's final cost OR >= 5% lower cost at SA's move
-//      budget (the ISSUE-8 acceptance gate);
+//      budget;
 //   4. a portfolio race is bit-identical at any `jobs` value, and racing
-//      `portfolio = {sa}` at restarts = 1 reproduces the plain historical
-//      anneal move for move.
+//      `portfolio = {sa}` at restarts = 1 reproduces the plain anneal move
+//      for move.
+// Every result the bench produces also passes stitch_error (stitch/verify).
 // A violated invariant aborts the bench via MF_CHECK -- the ctest entry
 // (`--quick`) relies on that to turn this into a correctness gate.
 //
 // Results land in BENCH_STITCH.json (machine-readable: moves/sec, final
 // cost, wall ms per configuration) next to a human-readable table on
-// stdout. Plain main, not google-benchmark: the A/B structure (interleaved
-// best-of-N with cross-run equality asserts) does not fit the BM_ harness.
+// stdout. Plain main, not google-benchmark: the checked best-of-N structure
+// does not fit the BM_ harness.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -35,6 +39,8 @@
 #include "flow/rw_flow.hpp"
 #include "nn/cnv_w1a1.hpp"
 #include "stitch/engine.hpp"
+#include "stitch/sa_stitcher.hpp"
+#include "stitch/verify.hpp"
 
 #include "bench_common.hpp"
 
@@ -52,6 +58,57 @@ struct Sample {
     return seconds > 0.0 ? moves / seconds : 0.0;
   }
 };
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v;
+  h *= 0x100000001b3ULL;
+  return h;
+}
+
+/// FNV-1a over (col, row) per instance -- the hash the stitch tests pin.
+std::uint64_t positions_hash(const StitchResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const BlockPlacement& p : r.positions) {
+    h = mix(h, static_cast<std::uint64_t>(p.col));
+    h = mix(h, static_cast<std::uint64_t>(p.row));
+  }
+  return h;
+}
+
+/// FNV-1a over (move, cost bits) per trace sample.
+std::uint64_t trace_hash(const StitchResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& [move, cost] : r.cost_trace) {
+    h = mix(h, static_cast<std::uint64_t>(move));
+    h = mix(h, std::bit_cast<std::uint64_t>(cost));
+  }
+  return h;
+}
+
+/// Lone SA at default options on the fig5 problem, pinned bit for bit.
+void check_pinned_fig5_sa(const StitchResult& r) {
+  MF_CHECK(std::bit_cast<std::uint64_t>(r.cost) == 0x40f5fbd000000000ULL);
+  MF_CHECK(std::bit_cast<std::uint64_t>(r.wirelength) ==
+           0x40b1250000000000ULL);
+  MF_CHECK(r.cost == 90045.0);
+  MF_CHECK(r.unplaced == 86);
+  MF_CHECK(r.total_moves == 315000);
+  MF_CHECK(r.accepted == 326);
+  MF_CHECK(r.rejected == 187);
+  MF_CHECK(r.illegal == 313590);
+  MF_CHECK(positions_hash(r) == 0x2454b07f4a5b99adULL);
+  MF_CHECK(trace_hash(r) == 0x6dddb7952c29a6adULL);
+}
+
+/// stitch() with every result checked by the independent verifier.
+StitchResult checked_stitch(const Device& dev, const StitchProblem& problem,
+                            const StitchOptions& opts) {
+  StitchResult r = stitch(dev, problem, opts);
+  if (const auto error = stitch_error(dev, problem, r)) {
+    MF_CHECK_MSG(false, "illegal stitch result: " + *error);
+  }
+  return r;
+}
 
 /// Same positions, cost, and counters -- the bit-identity contract.
 void check_identical(const StitchResult& a, const StitchResult& b) {
@@ -133,7 +190,7 @@ Sample run_once(const char* name, const Device& dev,
                 const StitchProblem& problem, const StitchOptions& opts,
                 StitchResult* out = nullptr) {
   Timer t;
-  StitchResult r = stitch(dev, problem, opts);
+  StitchResult r = checked_stitch(dev, problem, opts);
   Sample s;
   s.name = name;
   s.moves = r.restart_moves;
@@ -226,33 +283,24 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
   std::string json;
 
-  // -- A/B: reference vs incremental engine, interleaved best-of-N --------
-  StitchOptions ref_opts;
-  ref_opts.reference_engine = true;
-  StitchOptions inc_opts;
+  // -- lone SA: best-of-N wall time, every run against the pinned result --
   const int reps = quick ? 1 : 3;
-  Sample ref, inc;
-  StitchResult ref_result, inc_result;
+  Sample sa;
+  StitchResult sa_result;
   for (int rep = 0; rep < reps; ++rep) {
-    const Sample a = run_once("reference", dev, problem, ref_opts, &ref_result);
-    const Sample b = run_once("incremental", dev, problem, inc_opts,
-                              &inc_result);
-    check_identical(ref_result, inc_result);
-    if (rep == 0 || a.seconds < ref.seconds) ref = a;
-    if (rep == 0 || b.seconds < inc.seconds) inc = b;
+    const Sample s = run_once("sa", dev, problem, StitchOptions{}, &sa_result);
+    check_pinned_fig5_sa(sa_result);
+    if (rep == 0 || s.seconds < sa.seconds) sa = s;
   }
-  samples.push_back(ref);
-  samples.push_back(inc);
-  const double speedup = inc.moves_per_sec() / ref.moves_per_sec();
+  samples.push_back(sa);
   std::printf("\n%-16s %10s %10s %12s %12s %9s\n", "engine", "moves",
               "wall ms", "moves/sec", "cost", "unplaced");
-  for (const Sample& s : {ref, inc}) {
-    std::printf("%-16s %10ld %10.1f %12.0f %12.1f %9d\n", s.name.c_str(),
-                s.moves, s.seconds * 1e3, s.moves_per_sec(), s.cost,
-                s.unplaced);
-  }
-  std::printf("incremental speedup: %.2fx (acceptance target >= 3x)\n",
-              speedup);
+  std::printf("%-16s %10ld %10.1f %12.0f %12.1f %9d\n", sa.name.c_str(),
+              sa.moves, sa.seconds * 1e3, sa.moves_per_sec(), sa.cost,
+              sa.unplaced);
+  std::printf("sa matches the pinned fig5 result (cost %.1f, %d unplaced, "
+              "%ld moves)\n",
+              sa_result.cost, sa_result.unplaced, sa_result.total_moves);
 
   // -- multi-start scaling: restarts fixed, jobs swept --------------------
   const int restarts = quick ? 4 : 8;
@@ -286,7 +334,7 @@ int main(int argc, char** argv) {
               jobs1_result.restart_index, restarts, jobs1_result.cost);
 
   // -- engine portfolio: race analytic + warm SA + evo against lone SA ----
-  // inc_result above IS the lone-SA baseline on the fig5 problem (default
+  // sa_result above IS the lone-SA baseline on the fig5 problem (default
   // options); the filling problem needs its own baseline run.
   std::printf("\n");
   const StitchProblem filling = filling_problem(dev);
@@ -294,7 +342,7 @@ int main(int argc, char** argv) {
   samples.push_back(
       run_once("sa_filling", dev, filling, StitchOptions{}, &filling_sa));
   const auto [fig5_speedup, fig5_improvement] =
-      portfolio_gate("fig5", dev, problem, inc_result, samples);
+      portfolio_gate("fig5", dev, problem, sa_result, samples);
   const auto [fill_speedup, fill_improvement] =
       portfolio_gate("filling", dev, filling, filling_sa, samples);
 
@@ -304,9 +352,9 @@ int main(int argc, char** argv) {
     StitchOptions pf;
     pf.engine = StitchEngine::Portfolio;
     pf.jobs = 1;
-    const StitchResult serial = stitch(dev, problem, pf);
+    const StitchResult serial = checked_stitch(dev, problem, pf);
     pf.jobs = 4;
-    const StitchResult wide = stitch(dev, problem, pf);
+    const StitchResult wide = checked_stitch(dev, problem, pf);
     check_move_for_move(serial, wide);
     std::printf("portfolio jobs=1 vs jobs=4: bit-identical (%zu configs, "
                 "winner %s, cost %.1f)\n",
@@ -314,18 +362,16 @@ int main(int argc, char** argv) {
   }
 
   // Determinism gate 2: racing portfolio={sa} at restarts=1 reproduces the
-  // plain historical anneal move for move (the portfolio layer is inert
-  // for a pure-SA run).
+  // plain anneal move for move (the portfolio layer is inert for a pure-SA
+  // run).
   {
-    StitchOptions plain;
-    const StitchResult historical = stitch(dev, problem, plain);
-    StitchOptions raced = plain;
+    StitchOptions raced;
     raced.engine = StitchEngine::Portfolio;
     raced.portfolio = {StitchEngine::Sa};
-    check_move_for_move(historical, stitch(dev, problem, raced));
-    std::printf("portfolio={sa} restarts=1: reproduces the historical "
-                "anneal move for move (%ld moves)\n",
-                historical.total_moves);
+    check_move_for_move(sa_result, checked_stitch(dev, problem, raced));
+    std::printf("portfolio={sa} restarts=1: reproduces the plain anneal "
+                "move for move (%ld moves)\n",
+                sa_result.total_moves);
   }
 
   json += " \"problem\": {\"instances\": " +
@@ -334,12 +380,11 @@ int main(int argc, char** argv) {
           ", \"macros\": " + std::to_string(problem.macros.size()) + "},\n";
   char head[320];
   std::snprintf(head, sizeof head,
-                " \"incremental_speedup\": %.3f,\n"
                 " \"portfolio_gate\": {"
                 "\"fig5_speedup\": %.3f, \"fig5_improvement\": %.4f, "
                 "\"filling_speedup\": %.3f, \"filling_improvement\": %.4f},\n"
                 " \"runs\": [",
-                speedup, fig5_speedup, fig5_improvement, fill_speedup,
+                fig5_speedup, fig5_improvement, fill_speedup,
                 fill_improvement);
   json += head;
   for (std::size_t i = 0; i < samples.size(); ++i) {

@@ -61,7 +61,7 @@ struct RwFlowOptions {
   /// Cooperative cancellation (common/cancel.hpp). A tripped token stops new
   /// per-block implements (in-flight blocks drain), skips the stitch, and
   /// marks not-yet-implemented blocks FlowStatus::Cancelled. The same token
-  /// is forwarded into the annealer (subsumes stitch.max_seconds) so a
+  /// is forwarded into the annealer (unless stitch.cancel is set) so a
   /// deadline covers the flow end to end.
   const CancelToken* cancel = nullptr;
   /// ModuleCache::run only: when non-empty, the cache is checkpointed here

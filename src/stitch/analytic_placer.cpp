@@ -21,19 +21,13 @@ constexpr double kDamping = 0.5;
 
 std::vector<BlockPlacement> analytic_placement(const Device& device,
                                                const StitchProblem& problem) {
-  const StitchOptions defaults;
-  const PlacementContext ctx(device, problem, defaults);
+  const PlacementContext ctx(device, problem);
   PlacementState state(ctx);
 
   // Phase 0: a legal greedy seed gives every instance a spread-out starting
   // point (all-at-center would make every centroid coincide and the sweeps
   // would never break the symmetry).
-  for (int inst : ctx.greedy_order()) {
-    const int hit = state.first_free_anchor(inst);
-    if (hit < 0) continue;
-    const auto& anchor = ctx.anchors_of(inst)[static_cast<std::size_t>(hit)];
-    MF_CHECK(state.try_place(inst, anchor.first, anchor.second));
-  }
+  for (int inst : ctx.greedy_order()) state.place_first_free(inst);
 
   const std::size_t n = problem.instances.size();
   std::vector<double> half_w(n);
@@ -117,7 +111,7 @@ StitchResult stitch_analytic(const Device& device,
                              const StitchProblem& problem,
                              const StitchOptions& opts) {
   Timer timer;
-  const PlacementContext ctx(device, problem, opts);
+  const PlacementContext ctx(device, problem);
   PlacementState state(ctx);
   const std::vector<BlockPlacement> placement =
       analytic_placement(device, problem);

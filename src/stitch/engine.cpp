@@ -3,47 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/check.hpp"
-#include "stitch/analytic_placer.hpp"
-#include "stitch/evo_stitcher.hpp"
-#include "stitch/sa_stitcher.hpp"
-
 namespace mf {
-namespace {
-
-class SaEngine final : public Engine {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "sa"; }
-  [[nodiscard]] StitchResult run(const Device& device,
-                                 const StitchProblem& problem,
-                                 const StitchOptions& opts) const override {
-    return stitch_sa_single(device, problem, opts);
-  }
-};
-
-class EvoEngine final : public Engine {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "evo"; }
-  [[nodiscard]] StitchResult run(const Device& device,
-                                 const StitchProblem& problem,
-                                 const StitchOptions& opts) const override {
-    return stitch_evo(device, problem, opts);
-  }
-};
-
-class AnalyticEngine final : public Engine {
- public:
-  [[nodiscard]] const char* name() const noexcept override {
-    return "analytic";
-  }
-  [[nodiscard]] StitchResult run(const Device& device,
-                                 const StitchProblem& problem,
-                                 const StitchOptions& opts) const override {
-    return stitch_analytic(device, problem, opts);
-  }
-};
-
-}  // namespace
 
 const char* to_string(StitchEngine engine) noexcept {
   switch (engine) {
@@ -80,10 +40,6 @@ std::optional<std::string> stitch_options_error(const StitchOptions& opts) {
     return "evolutionary population must be >= 2 (got " +
            std::to_string(opts.evo_population) + ")";
   }
-  if (opts.evo_generations < 0) {
-    return "evolutionary generation cap must be >= 0 (got " +
-           std::to_string(opts.evo_generations) + ")";
-  }
   if (opts.engine_budget < 0) {
     return "engine budget must be >= 0 (got " +
            std::to_string(opts.engine_budget) + ")";
@@ -100,23 +56,6 @@ std::optional<std::string> stitch_options_error(const StitchOptions& opts) {
     return "a portfolio engine list requires engine=portfolio";
   }
   return std::nullopt;
-}
-
-const Engine& engine_for(StitchEngine kind) {
-  static const SaEngine sa;
-  static const EvoEngine evo;
-  static const AnalyticEngine analytic;
-  switch (kind) {
-    case StitchEngine::Evo:
-      return evo;
-    case StitchEngine::Analytic:
-      return analytic;
-    case StitchEngine::Sa:
-    case StitchEngine::Portfolio:
-      break;
-  }
-  MF_CHECK(kind == StitchEngine::Sa);
-  return sa;
 }
 
 std::string trace_to_text(const StitchResult& result) {

@@ -1,11 +1,10 @@
 #pragma once
-// Stitcher engine interface and the shared option / result types.
+// Stitcher option / result types shared by every placement engine.
 //
-// PR 3 left the simulated annealer as the only way to solve a stitch
-// problem. This header extracts the contract every placement engine obeys --
-// same problem in, same StitchResult out, deterministic for a given
-// (options, seed) -- so the portfolio driver (stitch/portfolio.hpp) can race
-// engines against each other on the deterministic thread pool:
+// Every engine obeys one contract -- same problem in, same StitchResult out,
+// deterministic for a given (options, seed) -- so the portfolio driver
+// (stitch/portfolio.hpp) can race engines against each other on the
+// deterministic thread pool:
 //
 //   * "sa"       -- the incremental simulated annealer (stitch/sa_stitcher);
 //   * "evo"      -- RapidLayout-style evolutionary search over placement
@@ -16,7 +15,7 @@
 //
 // Determinism rules (the portfolio's bit-identity contract depends on all
 // three):
-//   1. an Engine::run is a pure function of (device, problem, options) --
+//   1. an engine run is a pure function of (device, problem, options) --
 //      no wall-clock or scheduling inputs feed the walk;
 //   2. every raced configuration derives its seed from task_seed, never from
 //      sibling scheduling;
@@ -55,11 +54,9 @@ enum class StitchEngine : std::uint8_t { Sa, Evo, Analytic, Portfolio };
 
 struct StitchOptions {
   std::uint64_t seed = 99;
-  double initial_temp = 0.0;  ///< 0 = auto (from initial cost scale)
   double cooling = 0.95;
   int moves_per_temp = 0;  ///< 0 = auto (10 x instances)
   double min_temp_ratio = 1e-4;  ///< stop when T < ratio * T0
-  double unplaced_penalty = 0.0;  ///< 0 = auto (device half-perimeter x 4)
   int place_retry_every = 25;  ///< try to un-park an unplaced block this often
   /// Stop annealing after this many temperature steps without a >0.1% cost
   /// improvement (0 = anneal the full schedule). Easier problems quiesce
@@ -70,16 +67,12 @@ struct StitchOptions {
   /// so an over-budget run degrades to its best intermediate placement
   /// instead of running unbounded. Deterministic (move-count based).
   long max_moves = 0;
-  /// Watchdog: wall-clock budget in seconds (0 = unbounded). Same
-  /// degradation semantics as max_moves, but non-deterministic -- meant for
-  /// production service deadlines, not for reproducible experiments.
-  double max_seconds = 0.0;
-  /// Cooperative cancellation (common/cancel.hpp): polled by the same
-  /// amortised watchdog check as max_seconds, with the same degradation
-  /// semantics (stop, restore best-so-far, watchdog_fired = true). This
-  /// subsumes max_seconds for end-to-end deadlines -- one token armed with
-  /// set_deadline_seconds() bounds the whole flow, every raced engine
-  /// configuration included.
+  /// Cooperative cancellation (common/cancel.hpp), polled every 32 moves
+  /// with the same degradation semantics as max_moves (stop, restore
+  /// best-so-far, watchdog_fired = true). One token armed with
+  /// set_deadline_seconds() is the wall-clock budget: it bounds the whole
+  /// flow, every raced engine configuration included. Non-deterministic --
+  /// meant for service deadlines, not for reproducible experiments.
   const CancelToken* cancel = nullptr;
   /// Independent restarts per engine (multi-start). 1 = one run seeded with
   /// `seed` -- exactly the historical single-start behaviour, move for
@@ -93,12 +86,6 @@ struct StitchOptions {
   /// value -- each configuration is an isolated engine run with its own
   /// derived seed, written into a pre-sized slot.
   int jobs = MF_JOBS_DEFAULT;
-  /// Run the pre-incremental reference cost engine inside SA: naive per-net
-  /// bounding box rescans, a per-cell occupant grid, and O(instances)
-  /// candidate scans per move. Kept for differential tests and the
-  /// bench_stitch A/B; results are bit-identical to the default incremental
-  /// engine, only slower. SA-only (the other engines ignore it).
-  bool reference_engine = false;
 
   // -- engine selection / portfolio knobs -----------------------------------
   /// Which engine solves the problem. Portfolio races `portfolio` (or the
@@ -121,9 +108,6 @@ struct StitchOptions {
   /// Evolutionary population size (>= 2). Individual 0 is the deterministic
   /// greedy (or analytic warm-start) placement; the rest are randomized.
   int evo_population = 12;
-  /// Evolutionary generation cap (0 = run until the move budget or
-  /// stagnation stops the search).
-  int evo_generations = 0;
   /// Seed SA (and evolutionary individual 0) with the analytic pre-placement
   /// instead of the greedy initial placement. The portfolio sets this
   /// automatically for its SA configurations whenever the analytic engine
@@ -176,7 +160,7 @@ struct StitchResult {
   /// First move index after which the cost stays within 1% of the final
   /// cost -- the convergence metric behind the paper's "1.37x faster".
   long converge_move = 0;
-  /// True when a watchdog budget (max_moves / max_seconds / cancel) cut the
+  /// True when a watchdog budget (max_moves / cancel) cut the
   /// run short; the result is the best placement seen up to that point.
   bool watchdog_fired = false;
   double seconds = 0.0;  ///< wall clock of the whole stitch (all configs)
@@ -203,22 +187,6 @@ struct StitchResult {
   /// order. A plain single run carries one entry.
   std::vector<EngineStats> engines;
 };
-
-/// One placement engine. A run is one deterministic configuration: the
-/// portfolio driver clamps restarts/jobs to 1 and derives the seed before
-/// calling, so implementations never fan out themselves.
-class Engine {
- public:
-  virtual ~Engine() = default;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  [[nodiscard]] virtual StitchResult run(const Device& device,
-                                         const StitchProblem& problem,
-                                         const StitchOptions& opts) const = 0;
-};
-
-/// Engine factory for the three concrete families (not Portfolio -- the
-/// portfolio driver is the caller, not a callee).
-[[nodiscard]] const Engine& engine_for(StitchEngine kind);
 
 /// Serialize a result's cost trace to the versioned text form used by the
 /// golden-trace regression fixtures:

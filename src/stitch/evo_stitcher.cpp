@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,7 @@ struct Individual {
 StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
                         const StitchOptions& opts) {
   Timer timer;
-  const PlacementContext ctx(device, problem, opts);
+  const PlacementContext ctx(device, problem);
   Rng rng(opts.seed);
   const std::size_t n = problem.instances.size();
   const int pop_size = std::max(2, opts.evo_population);
@@ -89,15 +90,11 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
     } else {
       for (int inst : ctx.greedy_order()) {
         charge();
-        const int hit = state.first_free_anchor(inst);
-        if (hit < 0) {
+        if (state.place_first_free(inst)) {
+          ++result.accepted;
+        } else {
           ++result.illegal;
-          continue;
         }
-        const auto& anchor =
-            ctx.anchors_of(inst)[static_cast<std::size_t>(hit)];
-        MF_CHECK(state.try_place(inst, anchor.first, anchor.second));
-        ++result.accepted;
       }
     }
     pop.push_back({std::move(state), 0.0});
@@ -123,14 +120,7 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
         const auto& [col, row] = candidates[rng.index(candidates.size())];
         placed = state.try_place(inst, col, row);
       }
-      if (!placed) {
-        const int hit = state.first_free_anchor(inst);
-        if (hit >= 0) {
-          const auto& anchor = candidates[static_cast<std::size_t>(hit)];
-          MF_CHECK(state.try_place(inst, anchor.first, anchor.second));
-          placed = true;
-        }
-      }
+      if (!placed) placed = state.place_first_free(inst);
       if (placed) {
         ++result.accepted;
       } else {
@@ -162,16 +152,12 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
       std::max<std::size_t>(1, static_cast<std::size_t>(pop_size) / 2);
   double stagnant_best = best_cost;
   int stagnant = 0;
-  int generation = 0;
   std::vector<std::size_t> ranked(pop.size());
   while (result.total_moves < budget) {
-    if (opts.evo_generations > 0 && generation >= opts.evo_generations) break;
-    if ((opts.cancel != nullptr && opts.cancel->cancelled()) ||
-        (opts.max_seconds > 0.0 && timer.seconds() >= opts.max_seconds)) {
+    if (opts.cancel != nullptr && opts.cancel->cancelled()) {
       result.watchdog_fired = true;
       break;
     }
-    ++generation;
 
     // A budget that ran dry mid-generation can have shrunk the population.
     ranked.resize(pop.size());
@@ -209,9 +195,10 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
         }
         charge();
         const int inst = static_cast<int>(i);
-        const bool ok = have.placed()
-                            ? kid.state.try_move(inst, want.col, want.row)
-                            : kid.state.try_place(inst, want.col, want.row);
+        const bool ok =
+            have.placed()
+                ? kid.state.try_move(inst, want.col, want.row).has_value()
+                : kid.state.try_place(inst, want.col, want.row);
         if (ok) {
           ++result.accepted;
         } else {
@@ -245,13 +232,12 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
         }
         const auto& [col, row] = candidates[rng.index(candidates.size())];
         if (col == old.col && row == old.row) continue;
-        const double before = kid.state.instance_cost(inst);
-        if (!kid.state.try_move(inst, col, row)) {
+        const std::optional<double> delta = kid.state.try_move(inst, col, row);
+        if (!delta) {
           ++result.illegal;
           continue;
         }
-        const double delta = kid.state.instance_cost(inst) - before;
-        if (delta <= 0.0 || rng.bernoulli(kUphillKeep)) {
+        if (*delta <= 0.0 || rng.bernoulli(kUphillKeep)) {
           ++result.accepted;
         } else {
           MF_CHECK(kid.state.try_move(inst, old.col, old.row));

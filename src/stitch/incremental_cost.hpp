@@ -15,8 +15,8 @@
 // produce (min/max of a set of doubles does not depend on evaluation order,
 // and the cost expression is the same), which is what lets the annealer's
 // accept/reject decisions -- and therefore whole SA trajectories -- stay
-// bit-identical to the pre-incremental engine. A debug build asserts
-// `|total() - full_recompute()| < 1e-6` at every temperature step.
+// bit-identical to the pre-incremental engine. stitch/verify recomputes
+// every reported wirelength from scratch and requires it bitwise.
 
 #include <vector>
 

@@ -7,17 +7,66 @@
 #include "common/check.hpp"
 
 namespace mf {
+namespace {
+
+std::vector<std::vector<std::pair<int, int>>> compatible_anchor_lists(
+    const Device& device, const StitchProblem& problem) {
+  std::vector<std::vector<std::pair<int, int>>> anchors;
+  anchors.reserve(problem.macros.size());
+  for (const Macro& macro : problem.macros) {
+    anchors.push_back(
+        compatible_anchors(device, macro.footprint, macro.pblock.row_lo));
+  }
+  return anchors;
+}
+
+/// Group a (col, row)-sorted anchor list into per-column runs so the
+/// ordered free-anchor scan can slide one row-occupancy test down each
+/// column instead of probing every anchor's full h-row footprint.
+std::vector<PlacementContext::AnchorRun> build_runs(
+    const std::vector<std::pair<int, int>>& list) {
+  std::vector<PlacementContext::AnchorRun> runs;
+  std::size_t i = 0;
+  while (i < list.size()) {
+    PlacementContext::AnchorRun run;
+    run.begin = i;
+    run.col = list[i].first;
+    run.first_row = list[i].second;
+    std::size_t j = i + 1;
+    while (j < list.size() && list[j].first == run.col) ++j;
+    run.end = j;
+    run.stride = j - i > 1 ? list[i + 1].second - run.first_row : 1;
+    run.uniform = run.stride > 0;
+    for (std::size_t k = i + 1; run.uniform && k < j; ++k) {
+      run.uniform = list[k].second - list[k - 1].second == run.stride;
+    }
+    runs.push_back(run);
+    i = j;
+  }
+  return runs;
+}
+
+}  // namespace
 
 PlacementContext::PlacementContext(const Device& device,
-                                   const StitchProblem& problem,
-                                   const StitchOptions& opts)
-    : device_(&device), problem_(&problem) {
-  anchors_.resize(problem.macros.size());
-  for (std::size_t m = 0; m < problem.macros.size(); ++m) {
-    const Macro& macro = problem.macros[m];
-    anchors_[m] =
-        compatible_anchors(device, macro.footprint, macro.pblock.row_lo);
-    std::sort(anchors_[m].begin(), anchors_[m].end());
+                                   const StitchProblem& problem)
+    : PlacementContext(device, problem,
+                       compatible_anchor_lists(device, problem)) {}
+
+PlacementContext::PlacementContext(
+    const Device& device, const StitchProblem& problem,
+    std::vector<std::vector<std::pair<int, int>>> anchors)
+    : device_(&device),
+      problem_(&problem),
+      anchors_(std::move(anchors)),
+      penalty_(4.0 * (device.num_columns() + device.rows())) {
+  MF_CHECK(anchors_.size() == problem.macros.size());
+  for (auto& list : anchors_) {
+    // compatible_anchors already emits (col, row)-ascending; sorting here
+    // keeps the runs and the binary-searched scan windows correct for any
+    // given list.
+    std::sort(list.begin(), list.end());
+    runs_.push_back(build_runs(list));
   }
   greedy_order_.resize(problem.instances.size());
   std::iota(greedy_order_.begin(), greedy_order_.end(), 0);
@@ -30,9 +79,6 @@ PlacementContext::PlacementContext(const Device& device,
     if (aa != bb) return aa > bb;  // big blocks first
     return a < b;
   });
-  penalty_ = opts.unplaced_penalty > 0.0
-                 ? opts.unplaced_penalty
-                 : 4.0 * (device.num_columns() + device.rows());
 }
 
 PlacementState::PlacementState(const PlacementContext& ctx)
@@ -40,101 +86,37 @@ PlacementState::PlacementState(const PlacementContext& ctx)
       grid_(ctx.device().num_columns(), ctx.device().rows()),
       cost_engine_(ctx.problem()),
       positions_(ctx.problem().instances.size()),
-      unplaced_(static_cast<int>(ctx.problem().instances.size())) {}
-
-void PlacementState::fill_cells(int instance, int col, int row) {
-  const Macro& macro = ctx_->macro_of(instance);
-  grid_.fill(col, row, macro.footprint.width(), macro.footprint.height);
-}
-
-void PlacementState::clear_cells(int instance, int col, int row) {
-  const Macro& macro = ctx_->macro_of(instance);
-  grid_.clear(col, row, macro.footprint.width(), macro.footprint.height);
-}
-
-bool PlacementState::region_free(int instance, int col, int row) {
-  const Macro& macro = ctx_->macro_of(instance);
-  const int w = macro.footprint.width();
-  const int h = macro.footprint.height;
-  const BlockPlacement& p = positions_[static_cast<std::size_t>(instance)];
-  if (!p.placed()) return grid_.region_free(col, row, w, h);
-  // Self-overlap: lift the instance's own cells for the probe, then restore
-  // (the grid is bit-identical on return).
-  clear_cells(instance, p.col, p.row);
-  const bool free = grid_.region_free(col, row, w, h);
-  fill_cells(instance, p.col, p.row);
-  return free;
-}
-
-bool PlacementState::try_place(int instance, int col, int row) {
-  const auto i = static_cast<std::size_t>(instance);
-  MF_CHECK(!positions_[i].placed());
-  const Macro& macro = ctx_->macro_of(instance);
-  if (!grid_.region_free(col, row, macro.footprint.width(),
-                         macro.footprint.height)) {
-    return false;
-  }
-  fill_cells(instance, col, row);
-  cost_engine_.place(instance, col, row);
-  positions_[i] = {col, row};
-  --unplaced_;
-  return true;
-}
-
-bool PlacementState::try_move(int instance, int col, int row) {
-  const auto i = static_cast<std::size_t>(instance);
-  const BlockPlacement old = positions_[i];
-  MF_CHECK(old.placed());
-  if (col == old.col && row == old.row) return true;
-  const Macro& macro = ctx_->macro_of(instance);
-  clear_cells(instance, old.col, old.row);
-  if (!grid_.region_free(col, row, macro.footprint.width(),
-                         macro.footprint.height)) {
-    fill_cells(instance, old.col, old.row);
-    return false;
-  }
-  fill_cells(instance, col, row);
-  cost_engine_.place(instance, col, row);
-  positions_[i] = {col, row};
-  return true;
-}
-
-void PlacementState::unplace(int instance) {
-  const auto i = static_cast<std::size_t>(instance);
-  const BlockPlacement& p = positions_[i];
-  if (!p.placed()) return;
-  clear_cells(instance, p.col, p.row);
-  cost_engine_.unplace(instance);
-  positions_[i] = BlockPlacement{};
-  ++unplaced_;
+      placed_(ctx.problem().instances.size()),
+      parked_(ctx.problem().instances.size()),
+      scan_memo_(ctx.problem().instances.size()) {
+  clear();
 }
 
 void PlacementState::clear() {
   grid_.reset();
   cost_engine_.clear();
   positions_.assign(positions_.size(), BlockPlacement{});
-  unplaced_ = static_cast<int>(positions_.size());
+  placed_.clear();
+  parked_.clear();
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    parked_.insert(static_cast<int>(i));
+  }
+  ++epoch_;
 }
 
-int PlacementState::first_free_anchor(int instance) const {
+bool PlacementState::place_first_free(int instance) {
   const auto& candidates = ctx_->anchors_of(instance);
-  const Macro& macro = ctx_->macro_of(instance);
-  const int w = macro.footprint.width();
-  const int h = macro.footprint.height;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (grid_.region_free(candidates[i].first, candidates[i].second, w, h)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  const int hit = first_free_anchor(instance, candidates.size());
+  if (hit < 0) return false;
+  const auto& [col, row] = candidates[static_cast<std::size_t>(hit)];
+  MF_CHECK(try_place(instance, col, row));
+  return true;
 }
 
 int PlacementState::nearest_free_anchor(int instance, double col,
                                         double row) const {
   const auto& candidates = ctx_->anchors_of(instance);
-  const Macro& macro = ctx_->macro_of(instance);
-  const int w = macro.footprint.width();
-  const int h = macro.footprint.height;
+  const Footprint& fp = ctx_->macro_of(instance).footprint;
   // Probe anchors in ascending Manhattan distance from the target point so
   // the first free one is the answer; ties resolve to the lowest anchor
   // index (stable sort over a distance-only key). The sort is O(A log A)
@@ -151,7 +133,7 @@ int PlacementState::nearest_free_anchor(int instance, double col,
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [dist, idx] : order) {
     const auto& [c, r] = candidates[static_cast<std::size_t>(idx)];
-    if (grid_.region_free(c, r, w, h)) return idx;
+    if (grid_.region_free(c, r, fp.width(), fp.height)) return idx;
   }
   return -1;
 }
@@ -171,12 +153,7 @@ void PlacementState::greedy_fill() {
       return a < b;
     });
     for (int inst : parked) {
-      const int hit = first_free_anchor(inst);
-      if (hit < 0) continue;
-      const auto& anchor =
-          ctx_->anchors_of(inst)[static_cast<std::size_t>(hit)];
-      MF_CHECK(try_place(inst, anchor.first, anchor.second));
-      progress = true;
+      if (place_first_free(inst)) progress = true;
     }
   }
 }

@@ -9,6 +9,9 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "stitch/analytic_placer.hpp"
+#include "stitch/evo_stitcher.hpp"
+#include "stitch/sa_stitcher.hpp"
 
 namespace mf {
 namespace {
@@ -35,8 +38,6 @@ struct RacedConfig {
   return a.cost < b.cost;
 }
 
-}  // namespace
-
 EngineStats engine_stats_of(const StitchResult& run, int config,
                             std::uint64_t seed, bool warm_start) {
   EngineStats stats;
@@ -52,6 +53,8 @@ EngineStats engine_stats_of(const StitchResult& run, int config,
   stats.target_move = run.target_move;
   return stats;
 }
+
+}  // namespace
 
 StitchResult run_portfolio(const Device& device, const StitchProblem& problem,
                            const StitchOptions& opts) {
@@ -105,7 +108,19 @@ StitchResult run_portfolio(const Device& device, const StitchProblem& problem,
     one.seed = configs[i].seed;
     one.warm_start = configs[i].warm_start;
     if (opts.engine_budget > 0) one.max_moves = opts.engine_budget;
-    runs[i] = engine_for(configs[i].kind).run(device, problem, one);
+    switch (configs[i].kind) {
+      case StitchEngine::Sa:
+        runs[i] = stitch_sa_single(device, problem, one);
+        break;
+      case StitchEngine::Evo:
+        runs[i] = stitch_evo(device, problem, one);
+        break;
+      case StitchEngine::Analytic:
+        runs[i] = stitch_analytic(device, problem, one);
+        break;
+      case StitchEngine::Portfolio:
+        MF_CHECK_MSG(false, "a portfolio cannot race itself");
+    }
   });
 
   std::size_t best = 0;

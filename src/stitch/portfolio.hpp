@@ -2,7 +2,9 @@
 // Engine portfolio race for the stitcher.
 //
 // Runs engine x restart configurations on the deterministic thread pool and
-// returns the winner. Two policies:
+// returns the winner. stitch() routes every call through here: a plain
+// single-engine run is a one-configuration race, which parallel_for_each
+// runs inline on the calling thread. Two policies:
 //   * best-at-budget (default): every configuration runs to completion
 //     (optionally capped by StitchOptions::engine_budget); the lowest final
 //     cost wins, ties to the lowest config index.
@@ -24,9 +26,6 @@
 // move for move -- and restarts == K > 1 seeds restart k with
 // task_seed(opts.seed, "restart:<k>") for every engine alike.
 
-#include <cstdint>
-#include <string_view>
-
 #include "fabric/device.hpp"
 #include "stitch/engine.hpp"
 #include "stitch/macro.hpp"
@@ -39,9 +38,5 @@ namespace mf {
 [[nodiscard]] StitchResult run_portfolio(const Device& device,
                                          const StitchProblem& problem,
                                          const StitchOptions& opts);
-
-/// Per-configuration stats row derived from one engine run.
-[[nodiscard]] EngineStats engine_stats_of(const StitchResult& run, int config,
-                                          std::uint64_t seed, bool warm_start);
 
 }  // namespace mf

@@ -14,24 +14,23 @@
 // anchors, more rejected moves -- which is exactly why the paper's estimator
 // speeds SA convergence 1.37x and cuts the final cost by 40%.
 //
-// The hot loop runs on an incremental cost engine (stitch/incremental_cost:
-// per-net bounding boxes with boundary multiplicities) and a bitset
-// occupancy grid (stitch/occupancy), with O(log n) random block selection
-// (common/indexed_set) -- all bit-identical in behaviour to the naive
-// reference engine, which `StitchOptions::reference_engine` keeps available
-// for differential tests and benches.
+// The annealer keeps only the walk (RNG, schedule, counters, trace, best
+// snapshot); the placement itself is a PlacementState
+// (stitch/placement_state), the model the evolutionary and analytic engines
+// share: bitset occupancy, incremental HPWL, O(log n) random block
+// selection, and memoized per-column anchor scans. stitch/verify checks any
+// result independently.
 //
-// The option/result types and the Engine interface live in stitch/engine.hpp;
-// `stitch()` below is the front door that dispatches to the requested engine
-// (SA stays the default) or to the portfolio race (stitch/portfolio.hpp).
+// The option/result types live in stitch/engine.hpp; `stitch()` below is the
+// front door: it validates the options and runs the requested engine (SA by
+// default) or race through the portfolio driver (stitch/portfolio.hpp).
 
 #include "stitch/engine.hpp"
 
 namespace mf {
 
 /// Solve a stitch problem with the engine selected by `opts.engine`.
-/// The default (SA, restarts = 1) is the historical single-start annealer,
-/// move for move; everything else routes through the portfolio driver.
+/// The default (SA, restarts = 1) is one anneal seeded with `opts.seed`.
 StitchResult stitch(const Device& device, const StitchProblem& problem,
                     const StitchOptions& opts = {});
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "fabric/catalog.hpp"
 #include "flow/rw_flow.hpp"
@@ -637,7 +638,9 @@ TEST(StitchWatchdog, WallClockBudgetFires) {
   StitchOptions opts;
   opts.moves_per_temp = 100;
   opts.cooling = 0.8;
-  opts.max_seconds = 1e-9;  // expires immediately
+  CancelToken deadline;
+  deadline.set_deadline_seconds(1e-9);  // expires immediately
+  opts.cancel = &deadline;
   const StitchResult r = stitch(dev, problem, opts);
   EXPECT_TRUE(r.watchdog_fired);
   EXPECT_EQ(r.positions.size(), problem.instances.size());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fabric/catalog.hpp"
+#include "stitch/verify.hpp"
 
 namespace mf {
 namespace {
@@ -55,35 +56,16 @@ TEST(Stitcher, NoOverlapsInResult) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = chain_problem(dev, 30, 4, 12);
   const StitchResult r = stitch(dev, problem, fast_opts(2));
-  std::vector<int> grid(
-      static_cast<std::size_t>(dev.num_columns()) *
-          static_cast<std::size_t>(dev.rows()),
-      -1);
-  for (std::size_t i = 0; i < r.positions.size(); ++i) {
-    const BlockPlacement& p = r.positions[i];
-    if (!p.placed()) continue;
-    const Macro& macro = problem.macros[0];
-    for (int c = p.col; c < p.col + macro.footprint.width(); ++c) {
-      for (int row = p.row; row < p.row + macro.footprint.height; ++row) {
-        auto& cell = grid[static_cast<std::size_t>(c) *
-                              static_cast<std::size_t>(dev.rows()) +
-                          static_cast<std::size_t>(row)];
-        ASSERT_EQ(cell, -1) << "overlap between " << cell << " and " << i;
-        cell = static_cast<int>(i);
-      }
-    }
-  }
+  const auto error = stitch_error(dev, problem, r);
+  EXPECT_FALSE(error) << error.value_or("");
 }
 
 TEST(Stitcher, PlacedBlocksOnCompatibleAnchors) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = chain_problem(dev, 15, 5, 9);
   const StitchResult r = stitch(dev, problem, fast_opts(3));
-  for (const BlockPlacement& p : r.positions) {
-    if (!p.placed()) continue;
-    EXPECT_TRUE(footprint_fits(dev, problem.macros[0].footprint, p.col, p.row,
-                               problem.macros[0].pblock.row_lo));
-  }
+  const auto error = stitch_error(dev, problem, r);
+  EXPECT_FALSE(error) << error.value_or("");
 }
 
 TEST(Stitcher, ParksBlocksWhenDeviceFull) {

@@ -1,12 +1,14 @@
-// The incremental stitcher engine's exactness contract, pinned three ways:
+// The annealer's exactness contract, pinned three ways:
 //
-//   1. golden traces: the default engine at restarts = 1 must reproduce the
-//      PRE-incremental stitcher's results bit for bit (counters, bit_cast'd
-//      final doubles, position and cost-trace hashes captured from the old
-//      code before the rewrite);
-//   2. differential: the shipped reference engine (reference_engine = true,
-//      the old naive code kept alive) and the incremental engine must agree
-//      bitwise on every seed;
+//   1. golden rows: SA at restarts = 1 must reproduce pinned results bit for
+//      bit (counters, bit_cast'd final doubles, position and cost-trace
+//      hashes). The mixed-problem rows were captured from the original naive
+//      engine; the overfull rows (the device-filling synthetic and the cnv
+//      min-CF problems on both devices) pin the parked / unpark / final-fill
+//      paths, and were captured while that naive engine still agreed with
+//      the incremental one bit for bit;
+//   2. stitch_error: every pinned result is legal and correctly costed,
+//      wirelength recomputed from scratch;
 //   3. properties: the IncrementalWirelength cache never drifts from a
 //      from-scratch recompute under 10k random place / move / unplace ops.
 //
@@ -19,105 +21,24 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fabric/catalog.hpp"
+#include "flow/rw_flow.hpp"
+#include "nn/cnv_w1a1.hpp"
 #include "stitch/incremental_cost.hpp"
 #include "stitch/sa_stitcher.hpp"
+#include "stitch/verify.hpp"
+#include "stitch_fixtures.hpp"
 
 namespace mf {
 namespace {
 
-/// Same mixed problem as test_stitch_properties: three macro shapes, one
-/// BRAM-bound, 36 instances in a chain. The golden rows below are tied to
-/// this exact problem -- do not reshape it.
-StitchProblem mixed_problem(const Device& dev) {
-  StitchProblem problem;
-  auto add_macro = [&](const char* name, int col0, int w, int h, bool hard) {
-    Macro m;
-    m.name = name;
-    m.pblock = PBlock{col0, col0 + w - 1, 0, h - 1};
-    m.footprint = footprint_of(dev, m.pblock, hard);
-    m.used_slices = w * h;
-    problem.macros.push_back(std::move(m));
-  };
-  add_macro("small", 0, 3, 8, false);
-  add_macro("wide", 3, 9, 12, false);
-  int bram_col = -1;
-  for (int c = 0; c < dev.num_columns(); ++c) {
-    if (dev.column(c) == ColumnKind::Bram) {
-      bram_col = c;
-      break;
-    }
-  }
-  add_macro("brammy", bram_col - 1, 3, 10, true);
+using namespace stitch_fixtures;
 
-  int next = 0;
-  auto instances = [&](int macro, int count) {
-    for (int i = 0; i < count; ++i) {
-      problem.instances.push_back(
-          BlockInstance{"i" + std::to_string(next++), macro});
-    }
-  };
-  instances(0, 20);
-  instances(1, 10);
-  instances(2, 6);
-  for (int i = 0; i + 1 < next; ++i) {
-    problem.nets.push_back(BlockNet{{i, i + 1}, 1.0});
-  }
-  return problem;
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t positions_hash(const StitchResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const BlockPlacement& p : r.positions) {
-    h = mix(h, static_cast<std::uint64_t>(p.col));
-    h = mix(h, static_cast<std::uint64_t>(p.row));
-  }
-  return h;
-}
-
-std::uint64_t trace_hash(const StitchResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& [move, cost] : r.cost_trace) {
-    h = mix(h, static_cast<std::uint64_t>(move));
-    h = mix(h, std::bit_cast<std::uint64_t>(cost));
-  }
-  return h;
-}
-
-StitchOptions golden_opts(std::uint64_t seed) {
-  StitchOptions opts;
-  opts.seed = seed;
-  opts.moves_per_temp = 150;
-  opts.cooling = 0.85;
-  return opts;
-}
-
-void expect_identical(const StitchResult& a, const StitchResult& b) {
-  EXPECT_EQ(a.total_moves, b.total_moves);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.illegal, b.illegal);
-  EXPECT_EQ(a.unplaced, b.unplaced);
-  EXPECT_EQ(a.converge_move, b.converge_move);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.wirelength),
-            std::bit_cast<std::uint64_t>(b.wirelength));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
-            std::bit_cast<std::uint64_t>(b.cost));
-  EXPECT_EQ(positions_hash(a), positions_hash(b));
-  EXPECT_EQ(trace_hash(a), trace_hash(b));
-}
-
-/// One pinned pre-change run: every field the old engine produced for
-/// (mixed_problem, golden_opts(seed)), captured before the rewrite.
+/// One pinned run: every field SA produces for (problem, options(seed)).
 struct GoldenRow {
   std::uint64_t seed;
   long total_moves, accepted, rejected, illegal;
@@ -126,6 +47,25 @@ struct GoldenRow {
   std::uint64_t wirelength_bits, cost_bits, positions_hash, trace_hash;
 };
 
+void expect_row(const Device& dev, const StitchProblem& problem,
+                const StitchResult& r, const GoldenRow& g) {
+  SCOPED_TRACE("seed " + std::to_string(g.seed));
+  EXPECT_EQ(r.total_moves, g.total_moves);
+  EXPECT_EQ(r.accepted, g.accepted);
+  EXPECT_EQ(r.rejected, g.rejected);
+  EXPECT_EQ(r.illegal, g.illegal);
+  EXPECT_EQ(r.unplaced, g.unplaced);
+  EXPECT_EQ(r.converge_move, g.converge_move);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.wirelength), g.wirelength_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cost), g.cost_bits);
+  EXPECT_EQ(positions_hash(r), g.positions_hash);
+  EXPECT_EQ(trace_hash(r), g.trace_hash);
+  const auto error = stitch_error(dev, problem, r);
+  EXPECT_FALSE(error) << error.value_or("");
+}
+
+/// (mixed_problem, golden_opts(seed)). Seeds 1-4 come from the original
+/// naive engine; 5 and 6 from the last build that still carried it.
 constexpr GoldenRow kGolden[] = {
     {1ull, 8550, 273, 4673, 3571, 0, 6900, 0x4084100000000000ull,
      0x4084100000000000ull, 0x951f887e78dcc37dull, 0xec6c069e6130f303ull},
@@ -135,38 +75,76 @@ constexpr GoldenRow kGolden[] = {
      0x4083e00000000000ull, 0xcea142ba32a847dbull, 0xdc1cc13a53bc3fe3ull},
     {4ull, 2250, 229, 1067, 950, 0, 0, 0x4088300000000000ull,
      0x4088300000000000ull, 0x949cf05a4da2f262ull, 0x8e0f1a8d127b74c5ull},
+    {5ull, 8550, 295, 4766, 3461, 0, 7800, 0x4081880000000000ull,
+     0x4081880000000000ull, 0x426b9b9213a71a90ull, 0xbba02a9e6130f303ull},
+    {6ull, 2250, 224, 1053, 967, 0, 0, 0x4088300000000000ull,
+     0x4088300000000000ull, 0x949cf05a4da2f262ull, 0x4caa4e8d127b74c5ull},
 };
 
 TEST(StitchIncremental, GoldenTracesMatchPreChangeEngine) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = mixed_problem(dev);
   for (const GoldenRow& g : kGolden) {
-    const StitchResult r = stitch(dev, problem, golden_opts(g.seed));
-    EXPECT_EQ(r.total_moves, g.total_moves) << "seed " << g.seed;
-    EXPECT_EQ(r.accepted, g.accepted) << "seed " << g.seed;
-    EXPECT_EQ(r.rejected, g.rejected) << "seed " << g.seed;
-    EXPECT_EQ(r.illegal, g.illegal) << "seed " << g.seed;
-    EXPECT_EQ(r.unplaced, g.unplaced) << "seed " << g.seed;
-    EXPECT_EQ(r.converge_move, g.converge_move) << "seed " << g.seed;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.wirelength), g.wirelength_bits)
-        << "seed " << g.seed;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cost), g.cost_bits)
-        << "seed " << g.seed;
-    EXPECT_EQ(positions_hash(r), g.positions_hash) << "seed " << g.seed;
-    EXPECT_EQ(trace_hash(r), g.trace_hash) << "seed " << g.seed;
+    expect_row(dev, problem, stitch(dev, problem, golden_opts(g.seed)), g);
   }
 }
 
-TEST(StitchIncremental, ReferenceEngineBitIdentical) {
+TEST(StitchIncremental, OverfullSyntheticDigest) {
+  // Default options: 75 of 150 blocks stay parked, 269,543 of 270,000
+  // moves are illegal.
+  constexpr GoldenRow kFilling = {
+      99ull, 270000, 110, 236, 269543, 75, 0, 0x40a86b0000000000ull,
+      0x40f3001800000000ull, 0x76753f33f08a5bfaull, 0x86c6eb1e26920b1dull};
   const Device dev = xc7z020_model();
-  const StitchProblem problem = mixed_problem(dev);
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    StitchOptions inc = golden_opts(seed);
-    StitchOptions ref = golden_opts(seed);
-    ref.reference_engine = true;
-    const StitchResult a = stitch(dev, problem, inc);
-    const StitchResult b = stitch(dev, problem, ref);
-    expect_identical(a, b);
+  const StitchProblem problem = filling_problem(dev);
+  expect_row(dev, problem, stitch(dev, problem, StitchOptions{}), kFilling);
+}
+
+/// The `macroflow cnv` min-CF stitch problem (every cnvW1A1 block at its
+/// minimal CF), default anneal options with seeds 100-103.
+constexpr GoldenRow kCnvZ020[] = {
+    {100ull, 315000, 2587, 2177, 309462, 78, 92750, 0x40b0990000000000ull,
+     0x40f4011000000000ull, 0x35c441379ed068a2ull, 0xcf0d84a52c29a6adull},
+    {101ull, 315000, 2467, 2191, 309595, 78, 99750, 0x40b0e48000000000ull,
+     0x40f405c800000000ull, 0x2824c5ed6322ef5dull, 0xf14781e52c29a6adull},
+    {102ull, 315000, 2500, 2519, 309239, 78, 70000, 0x40b0e88000000000ull,
+     0x40f4060800000000ull, 0x39e5429ae5fc93f9ull, 0xf869326d2c29a6adull},
+    {103ull, 315000, 2454, 2178, 309640, 78, 77000, 0x40b0b50000000000ull,
+     0x40f402d000000000ull, 0xb0365b226d339821ull, 0x471570952c29a6adull},
+};
+constexpr GoldenRow kCnvZ045[] = {
+    {100ull, 315000, 15866, 127900, 171066, 0, 290500, 0x40bae60000000000ull,
+     0x40bae60000000000ull, 0x8c4e85b5cb4e3fd8ull, 0x6efb48652c29a6adull},
+    {101ull, 315000, 12209, 131839, 170774, 0, 222250, 0x40bd5d0000000000ull,
+     0x40bd5d0000000000ull, 0x0d387e47a454daadull, 0xca927b652c29a6adull},
+    {102ull, 271250, 14348, 104496, 152249, 0, 232750, 0x40b7d70000000000ull,
+     0x40b7d70000000000ull, 0x32872e263ec3236aull, 0x932f573a341df24dull},
+    {103ull, 315000, 14529, 125060, 175245, 0, 273000, 0x40ba2d0000000000ull,
+     0x40ba2d0000000000ull, 0x065634fe4ea3ea59ull, 0xffca24e52c29a6adull},
+};
+
+StitchProblem cnv_min_cf_problem(const Device& dev) {
+  RwFlowOptions opts;
+  opts.compute_timing = false;
+  opts.run_stitch = false;
+  opts.jobs = 1;
+  CfPolicy policy;
+  policy.mode = CfPolicy::Mode::MinSearch;
+  return run_rw_flow(build_cnv_w1a1(), dev, policy, opts).problem;
+}
+
+TEST(StitchIncremental, CnvMinCfDigestsOnBothDevices) {
+  const Device z020 = xc7z020_model();
+  const Device z045 = xc7z045_model();
+  for (const auto& [dev, rows] :
+       {std::pair{&z020, &kCnvZ020}, std::pair{&z045, &kCnvZ045}}) {
+    const StitchProblem problem = cnv_min_cf_problem(*dev);
+    ASSERT_EQ(problem.instances.size(), 175u);
+    for (const GoldenRow& g : *rows) {
+      StitchOptions opts;
+      opts.seed = g.seed;
+      expect_row(*dev, problem, stitch(*dev, problem, opts), g);
+    }
   }
 }
 
@@ -208,7 +186,6 @@ TEST(StitchIncremental, MultiStartIdenticalAtAnyJobs) {
   opts.jobs = 8;
   const StitchResult parallel = stitch(dev, problem, opts);
   expect_identical(sequential, parallel);
-  EXPECT_EQ(sequential.restart_index, parallel.restart_index);
   EXPECT_EQ(sequential.restart_moves, parallel.restart_moves);
 }
 

@@ -22,63 +22,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "common/check.hpp"
 #include "fabric/catalog.hpp"
 #include "stitch/engine.hpp"
 #include "stitch/sa_stitcher.hpp"
+#include "stitch/verify.hpp"
+#include "stitch_fixtures.hpp"
 
 namespace mf {
 namespace {
 
-/// Same mixed problem as test_stitch_incremental: three macro shapes, one
-/// BRAM-bound, 36 instances in a chain. The golden trace fixture is tied
-/// to this exact problem -- do not reshape it.
-StitchProblem mixed_problem(const Device& dev) {
-  StitchProblem problem;
-  auto add_macro = [&](const char* name, int col0, int w, int h, bool hard) {
-    Macro m;
-    m.name = name;
-    m.pblock = PBlock{col0, col0 + w - 1, 0, h - 1};
-    m.footprint = footprint_of(dev, m.pblock, hard);
-    m.used_slices = w * h;
-    problem.macros.push_back(std::move(m));
-  };
-  add_macro("small", 0, 3, 8, false);
-  add_macro("wide", 3, 9, 12, false);
-  int bram_col = -1;
-  for (int c = 0; c < dev.num_columns(); ++c) {
-    if (dev.column(c) == ColumnKind::Bram) {
-      bram_col = c;
-      break;
-    }
-  }
-  add_macro("brammy", bram_col - 1, 3, 10, true);
-
-  int next = 0;
-  auto instances = [&](int macro, int count) {
-    for (int i = 0; i < count; ++i) {
-      problem.instances.push_back(
-          BlockInstance{"i" + std::to_string(next++), macro});
-    }
-  };
-  instances(0, 20);
-  instances(1, 10);
-  instances(2, 6);
-  for (int i = 0; i + 1 < next; ++i) {
-    problem.nets.push_back(BlockNet{{i, i + 1}, 1.0});
-  }
-  return problem;
-}
-
-StitchOptions golden_opts(std::uint64_t seed) {
-  StitchOptions opts;
-  opts.seed = seed;
-  opts.moves_per_temp = 150;
-  opts.cooling = 0.85;
-  return opts;
-}
+using namespace stitch_fixtures;
 
 int env_jobs() {
   if (const char* jobs = std::getenv("MF_TEST_JOBS")) {
@@ -88,79 +43,11 @@ int env_jobs() {
   return 8;
 }
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t positions_hash(const StitchResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const BlockPlacement& p : r.positions) {
-    h = mix(h, static_cast<std::uint64_t>(p.col));
-    h = mix(h, static_cast<std::uint64_t>(p.row));
-  }
-  return h;
-}
-
-std::uint64_t trace_hash(const StitchResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& [move, cost] : r.cost_trace) {
-    h = mix(h, static_cast<std::uint64_t>(move));
-    h = mix(h, std::bit_cast<std::uint64_t>(cost));
-  }
-  return h;
-}
-
-void expect_identical(const StitchResult& a, const StitchResult& b) {
-  EXPECT_EQ(a.total_moves, b.total_moves);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.illegal, b.illegal);
-  EXPECT_EQ(a.unplaced, b.unplaced);
-  EXPECT_EQ(a.converge_move, b.converge_move);
-  EXPECT_EQ(a.engine, b.engine);
-  EXPECT_EQ(a.restart_index, b.restart_index);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.wirelength),
-            std::bit_cast<std::uint64_t>(b.wirelength));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
-            std::bit_cast<std::uint64_t>(b.cost));
-  EXPECT_EQ(positions_hash(a), positions_hash(b));
-  EXPECT_EQ(trace_hash(a), trace_hash(b));
-}
-
-/// Every placed instance sits on a legal anchor, no two footprints share a
-/// cell, and cost == wirelength + penalty * unplaced.
+/// Footprint-legal, overlap-free and correctly costed (stitch/verify).
 void expect_legal(const Device& dev, const StitchProblem& problem,
                   const StitchResult& r) {
-  ASSERT_EQ(r.positions.size(), problem.instances.size());
-  std::vector<int> grid(static_cast<std::size_t>(dev.num_columns()) *
-                            static_cast<std::size_t>(dev.rows()),
-                        -1);
-  int placed = 0;
-  for (std::size_t i = 0; i < r.positions.size(); ++i) {
-    const BlockPlacement& p = r.positions[i];
-    if (!p.placed()) continue;
-    ++placed;
-    const Macro& macro =
-        problem.macros[static_cast<std::size_t>(problem.instances[i].macro)];
-    ASSERT_TRUE(footprint_fits(dev, macro.footprint, p.col, p.row,
-                               macro.pblock.row_lo))
-        << "illegal anchor for " << problem.instances[i].name;
-    for (int c = p.col; c < p.col + macro.footprint.width(); ++c) {
-      for (int row = p.row; row < p.row + macro.footprint.height; ++row) {
-        auto& cell = grid[static_cast<std::size_t>(c) *
-                              static_cast<std::size_t>(dev.rows()) +
-                          static_cast<std::size_t>(row)];
-        ASSERT_EQ(cell, -1) << "overlap at " << c << "," << row;
-        cell = static_cast<int>(i);
-      }
-    }
-  }
-  EXPECT_EQ(placed + r.unplaced, static_cast<int>(problem.instances.size()));
-  const double penalty = 4.0 * (dev.num_columns() + dev.rows());
-  EXPECT_NEAR(r.cost, r.wirelength + penalty * r.unplaced, 1e-6);
-  EXPECT_GE(r.wirelength, 0.0);
+  const auto error = stitch_error(dev, problem, r);
+  EXPECT_FALSE(error) << error.value_or("");
 }
 
 std::string read_file(const std::string& path) {

@@ -3,105 +3,40 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fabric/catalog.hpp"
 #include "stitch/sa_stitcher.hpp"
+#include "stitch/verify.hpp"
+#include "stitch_fixtures.hpp"
 
 namespace mf {
 namespace {
 
-/// A mixed problem: three macro shapes, one of them BRAM-bound.
-StitchProblem mixed_problem(const Device& dev) {
-  StitchProblem problem;
-  auto add_macro = [&](const char* name, int col0, int w, int h, bool hard) {
-    Macro m;
-    m.name = name;
-    m.pblock = PBlock{col0, col0 + w - 1, 0, h - 1};
-    m.footprint = footprint_of(dev, m.pblock, hard);
-    m.used_slices = w * h;
-    problem.macros.push_back(std::move(m));
-  };
-  add_macro("small", 0, 3, 8, false);
-  add_macro("wide", 3, 9, 12, false);
-  int bram_col = -1;
-  for (int c = 0; c < dev.num_columns(); ++c) {
-    if (dev.column(c) == ColumnKind::Bram) {
-      bram_col = c;
-      break;
-    }
-  }
-  add_macro("brammy", bram_col - 1, 3, 10, true);
+using namespace stitch_fixtures;
 
-  int next = 0;
-  auto instances = [&](int macro, int count) {
-    for (int i = 0; i < count; ++i) {
-      problem.instances.push_back(
-          BlockInstance{"i" + std::to_string(next++), macro});
-    }
-  };
-  instances(0, 20);
-  instances(1, 10);
-  instances(2, 6);
-  for (int i = 0; i + 1 < next; ++i) {
-    problem.nets.push_back(BlockNet{{i, i + 1}, 1.0});
+class StitchProperty : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] std::uint64_t seed() const {
+    return static_cast<std::uint64_t>(GetParam()) + 1;
   }
-  return problem;
-}
-
-class StitchProperty : public ::testing::TestWithParam<int> {};
+};
 
 TEST_P(StitchProperty, ResultIsLegal) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = mixed_problem(dev);
-  StitchOptions opts;
-  opts.seed = static_cast<std::uint64_t>(GetParam()) + 1;
-  opts.moves_per_temp = 150;
-  opts.cooling = 0.85;
-  const StitchResult r = stitch(dev, problem, opts);
-
-  // Overlap-free.
-  std::vector<int> grid(
-      static_cast<std::size_t>(dev.num_columns()) *
-          static_cast<std::size_t>(dev.rows()),
-      -1);
-  int placed = 0;
-  for (std::size_t i = 0; i < r.positions.size(); ++i) {
-    const BlockPlacement& p = r.positions[i];
-    if (!p.placed()) continue;
-    ++placed;
-    const Macro& macro = problem.macros[static_cast<std::size_t>(
-        problem.instances[i].macro)];
-    ASSERT_TRUE(footprint_fits(dev, macro.footprint, p.col, p.row,
-                               macro.pblock.row_lo))
-        << "illegal anchor for " << problem.instances[i].name;
-    for (int c = p.col; c < p.col + macro.footprint.width(); ++c) {
-      for (int row = p.row; row < p.row + macro.footprint.height; ++row) {
-        auto& cell = grid[static_cast<std::size_t>(c) *
-                              static_cast<std::size_t>(dev.rows()) +
-                          static_cast<std::size_t>(row)];
-        ASSERT_EQ(cell, -1) << "overlap";
-        cell = static_cast<int>(i);
-      }
-    }
-  }
-  EXPECT_EQ(placed + r.unplaced,
-            static_cast<int>(problem.instances.size()));
-
-  // Cost accounting: cost == wirelength + penalty * unplaced, with the
-  // default penalty 4 * (cols + rows).
-  const double penalty = 4.0 * (dev.num_columns() + dev.rows());
-  EXPECT_NEAR(r.cost, r.wirelength + penalty * r.unplaced, 1e-6);
-  EXPECT_GE(r.wirelength, 0.0);
+  const StitchResult r = stitch(dev, problem, golden_opts(seed()));
+  // Overlap-free, anchor-legal, and cost == wirelength + penalty * unplaced
+  // with the wirelength recomputed from scratch.
+  const auto error = stitch_error(dev, problem, r);
+  EXPECT_FALSE(error) << error.value_or("");
 }
 
 TEST_P(StitchProperty, ReproduciblePerSeed) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = mixed_problem(dev);
-  StitchOptions opts;
-  opts.seed = static_cast<std::uint64_t>(GetParam()) + 1;
-  opts.moves_per_temp = 150;
-  opts.cooling = 0.85;
-  const StitchResult a = stitch(dev, problem, opts);
-  const StitchResult b = stitch(dev, problem, opts);
+  const StitchResult a = stitch(dev, problem, golden_opts(seed()));
+  const StitchResult b = stitch(dev, problem, golden_opts(seed()));
   ASSERT_EQ(a.positions.size(), b.positions.size());
   for (std::size_t i = 0; i < a.positions.size(); ++i) {
     EXPECT_EQ(a.positions[i].col, b.positions[i].col);
@@ -114,11 +49,7 @@ TEST_P(StitchProperty, ReproduciblePerSeed) {
 TEST_P(StitchProperty, TraceEndsAtFinalCostScale) {
   const Device dev = xc7z020_model();
   const StitchProblem problem = mixed_problem(dev);
-  StitchOptions opts;
-  opts.seed = static_cast<std::uint64_t>(GetParam()) + 1;
-  opts.moves_per_temp = 150;
-  opts.cooling = 0.85;
-  const StitchResult r = stitch(dev, problem, opts);
+  const StitchResult r = stitch(dev, problem, golden_opts(seed()));
   ASSERT_FALSE(r.cost_trace.empty());
   // The annealer's running cost and the recomputed final cost must agree to
   // within the final-fill improvements (fill only ever lowers the cost).
