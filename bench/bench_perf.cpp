@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks over the library's computational kernels:
 // module realisation + synthesis, PBlock generation, detailed placement,
-// routability estimation, minimal-CF search, forest training and stitching.
+// routability estimation, minimal-CF search, forest training and stitching
+// (a constant-CF cnvW1A1 problem, and the cnv workloads' min-CF ones).
 // These quantify the "rapid" in rapid prototyping: one full feasibility
 // check runs in ~1 ms, which is what makes exhaustive CF sweeps and
 // dataset-scale labelling practical on a laptop.
@@ -128,6 +129,34 @@ void BM_StitchCnv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StitchCnv)->Unit(benchmark::kMillisecond);
+
+/// cnvW1A1 at per-block minimal CF: the problem the cnv workloads stitch.
+StitchProblem cnv_min_cf_problem(const Device& dev) {
+  RwFlowOptions opts;
+  opts.compute_timing = false;
+  opts.run_stitch = false;
+  opts.jobs = 1;
+  CfPolicy policy;
+  policy.mode = CfPolicy::Mode::MinSearch;
+  return run_rw_flow(build_cnv_w1a1(), dev, policy, opts).problem;
+}
+
+/// The cnv workloads' stitch with default options and anneal seed 100 (the
+/// problems built once): arg 0 stitches on the overfull xc7z020, where 78
+/// blocks stay parked, arg 1 on the xc7z045.
+void BM_StitchCnvMinCf(benchmark::State& state) {
+  static const Device devices[] = {xc7z020_model(), xc7z045_model()};
+  static const StitchProblem problems[] = {cnv_min_cf_problem(devices[0]),
+                                           cnv_min_cf_problem(devices[1])};
+  const auto i = static_cast<std::size_t>(state.range(0));
+  StitchOptions opts;
+  opts.seed = 100;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stitch(devices[i], problems[i], opts).cost);
+  }
+  state.SetLabel(devices[i].name());
+}
+BENCHMARK(BM_StitchCnvMinCf)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

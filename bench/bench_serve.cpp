@@ -2,9 +2,9 @@
 //
 // Two claims are measured and *checked*, not just timed:
 //   1. resolving a warm registry bundle is >= 10x faster than retraining
-//      the same model from scratch (the point of persisting bundles), and
-//      the loaded model's predictions are bit-identical to the freshly
-//      trained one;
+//      the same model from scratch (the point of persisting bundles; both
+//      timed as the best of the same number of runs), and the loaded
+//      model's predictions are bit-identical to the freshly trained one;
 //   2. EstimatorService micro-batched prediction returns bit-identical
 //      results at every `jobs` value.
 // A violated invariant aborts the bench via MF_CHECK -- the ctest entry
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,10 +80,21 @@ int main(int argc, char** argv) {
   spec.options.rforest.trees = quick ? 120 : 300;
   spec.jobs = 0;
 
+  // Both paths are timed as the best of `reps`: one retrain alone swings
+  // with host load by more than the 10x margin.
+  const int reps = quick ? 3 : 5;
+
   // -- cold path: the full train recipe (labelled sweep + forest) ---------
-  Timer train_timer;
-  const ModelBundle trained = train_bundle(spec, dev);
-  const double train_s = train_timer.seconds();
+  double train_s = 0.0;
+  std::optional<ModelBundle> last_trained;
+  for (int rep = 0; rep < reps; ++rep) {
+    last_trained.reset();  // free the previous bundle outside the timed span
+    Timer train_timer;
+    last_trained = train_bundle(spec, dev);
+    const double s = train_timer.seconds();
+    if (rep == 0 || s < train_s) train_s = s;
+  }
+  const ModelBundle& trained = *last_trained;
   std::printf("trained '%s' (%s, %lld rows, holdout mean rel err %.3f): "
               "%.1f ms\n",
               trained.name.c_str(), to_string(trained.estimator.kind()),
@@ -93,11 +105,11 @@ int main(int argc, char** argv) {
   MF_CHECK_MSG(registry.put(trained).has_value(),
                "registry directory not writable");
 
-  // -- warm path: resolve the stored bundle, best of N --------------------
-  const int reps = quick ? 3 : 5;
+  // -- warm path: resolve the stored bundle ------------------------------
   double load_s = 0.0;
   std::optional<ModelBundle> loaded;
   for (int rep = 0; rep < reps; ++rep) {
+    loaded.reset();  // likewise
     Timer load_timer;
     loaded = registry.resolve("bench");
     const double s = load_timer.seconds();

@@ -21,8 +21,8 @@ std::vector<std::vector<std::pair<int, int>>> compatible_anchor_lists(
 }
 
 /// Group a (col, row)-sorted anchor list into per-column runs so the
-/// ordered free-anchor scan can slide one row-occupancy test down each
-/// column instead of probing every anchor's full h-row footprint.
+/// ordered free-anchor scan can test a column's rows a word at a time
+/// instead of probing every anchor's full h-row footprint.
 std::vector<PlacementContext::AnchorRun> build_runs(
     const std::vector<std::pair<int, int>>& list) {
   std::vector<PlacementContext::AnchorRun> runs;
@@ -87,8 +87,7 @@ PlacementState::PlacementState(const PlacementContext& ctx)
       cost_engine_(ctx.problem()),
       positions_(ctx.problem().instances.size()),
       placed_(ctx.problem().instances.size()),
-      parked_(ctx.problem().instances.size()),
-      scan_memo_(ctx.problem().instances.size()) {
+      parked_(ctx.problem().instances.size()) {
   clear();
 }
 
@@ -101,7 +100,6 @@ void PlacementState::clear() {
   for (std::size_t i = 0; i < positions_.size(); ++i) {
     parked_.insert(static_cast<int>(i));
   }
-  ++epoch_;
 }
 
 bool PlacementState::place_first_free(int instance) {

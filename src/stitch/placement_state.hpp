@@ -7,10 +7,9 @@
 // grid, and the incremental HPWL engine so a single-block move costs
 // O(move) instead of O(netlist). PlacementContext holds the immutable
 // per-problem geometry (shared by every individual in a population);
-// PlacementState is one mutable placement with cached cost, the placed /
-// parked id sets the annealer draws its blocks from, and a memo of failed
-// anchor scans -- value-copyable so evolutionary individuals can be cloned
-// for crossover.
+// PlacementState is one mutable placement with cached cost and the placed /
+// parked id sets the annealer draws its blocks from -- value-copyable so
+// evolutionary individuals can be cloned for crossover.
 
 #include <algorithm>
 #include <cstddef>
@@ -34,8 +33,9 @@ namespace mf {
 class PlacementContext {
  public:
   /// One maximal same-column slice of a macro's sorted anchor list. When the
-  /// rows step by a uniform stride the free-anchor scan slides down the
-  /// column; otherwise it falls back to per-anchor footprint probes.
+  /// rows step by a uniform stride the free-anchor scan tests the column's
+  /// rows a word at a time; otherwise it falls back to per-anchor footprint
+  /// probes.
   struct AnchorRun {
     std::size_t begin = 0, end = 0;  ///< index window into the anchor list
     int col = 0;
@@ -137,7 +137,7 @@ class PlacementState {
 
   /// First free anchor of the instance among anchors_of(instance)[0, end),
   /// in (col, row) order, or -1. A placed instance is lifted for the probe,
-  /// so its own cells never block it. Non-const: it memoizes failures.
+  /// so its own cells never block it; the state is unchanged on return.
   [[nodiscard]] int first_free_anchor(int instance, std::size_t end);
 
   /// Place an unplaced instance at its first free anchor; false when none
@@ -156,14 +156,8 @@ class PlacementState {
   void greedy_fill();
 
  private:
-  /// Memo of a failed ordered anchor scan, valid for one occupancy epoch.
-  struct ScanMemo {
-    long epoch = -1;
-    std::size_t failed_end = 0;  ///< no free anchor in [0, failed_end)
-  };
-
-  /// The uncached run scan behind first_free_anchor.
-  [[nodiscard]] int scan_runs(int instance, std::size_t end) const;
+  /// The run scan behind first_free_anchor, on the grid as it stands.
+  [[nodiscard]] int scan_runs(int instance, std::size_t end);
 
   const PlacementContext* ctx_;
   OccupancyGrid grid_;
@@ -171,8 +165,6 @@ class PlacementState {
   std::vector<BlockPlacement> positions_;
   IndexedIdSet placed_;
   IndexedIdSet parked_;
-  std::vector<ScanMemo> scan_memo_;  ///< per instance
-  long epoch_ = 0;  ///< bumped on every committed grid change
 };
 
 // The per-move primitives are defined here so they inline into the
@@ -188,7 +180,6 @@ inline bool PlacementState::try_place(int instance, int col, int row) {
   positions_[i] = {col, row};
   parked_.erase(instance);
   placed_.insert(instance);
-  ++epoch_;
   return true;
 }
 
@@ -217,17 +208,14 @@ inline std::optional<double> PlacementState::try_move(int instance,
   const double before = cost_engine_.instance_cost(instance);
   cost_engine_.place(instance, col, row);
   positions_[i] = {col, row};
-  ++epoch_;
   return cost_engine_.instance_cost(instance) - before;
 }
 
-/// Walks the column runs with a sliding count of consecutive unblocked rows:
-/// anchor (col, s) is free exactly when the h rows [s, s+h) each have the
-/// footprint's column span free, i.e. when the run of free rows ending at
-/// s+h-1 is >= h. Visiting rows in ascending order yields the same first hit
-/// as probing every anchor's footprint, with one O(words) row test per row
-/// instead of h per anchor.
-inline int PlacementState::scan_runs(int instance, std::size_t end) const {
+/// Walks the column runs in anchor order. A uniform run is one
+/// OccupancyGrid::first_free_row call, which tests 64 of its rows per word
+/// and returns the lowest free one on the run's stride -- the same first hit
+/// as probing every anchor's footprint. Non-uniform runs probe each anchor.
+inline int PlacementState::scan_runs(int instance, std::size_t end) {
   const auto& candidates = ctx_->anchors_of(instance);
   const Footprint& fp = ctx_->macro_of(instance).footprint;
   const int w = fp.width();
@@ -244,35 +232,22 @@ inline int PlacementState::scan_runs(int instance, std::size_t end) const {
       }
       continue;
     }
-    const int last_row = candidates[last - 1].second;
-    int free_rows = 0;
-    for (int r = run.first_row; r <= last_row + h - 1; ++r) {
-      free_rows = grid_.region_free(run.col, r, w, 1) ? free_rows + 1 : 0;
-      if (free_rows < h) continue;
-      const int offset = r - h + 1 - run.first_row;
-      if (offset % run.stride != 0) continue;
-      return static_cast<int>(run.begin) + offset / run.stride;
+    const int row = grid_.first_free_row(run.col, w, h, run.first_row,
+                                         candidates[last - 1].second,
+                                         run.stride);
+    if (row >= 0) {
+      return static_cast<int>(run.begin) + (row - run.first_row) / run.stride;
     }
   }
   return -1;
 }
 
 inline int PlacementState::first_free_anchor(int instance, std::size_t end) {
-  // Negative-result memoization. Within one occupancy epoch (no committed
-  // grid change since), the scan is a pure function of (instance, end): the
-  // instance's own cells are lifted for the probe and its position is fixed
-  // for the epoch. A failed scan over [0, e) therefore stays failed for
-  // every end <= e until the epoch advances. On a crowded device almost
-  // every scan fails and the epoch advances only on legal moves, so this
-  // skips nearly all of them -- the lift round trip included.
-  ScanMemo& memo = scan_memo_[static_cast<std::size_t>(instance)];
-  if (memo.epoch == epoch_ && end <= memo.failed_end) return -1;
   const BlockPlacement p = positions_[static_cast<std::size_t>(instance)];
   const Footprint& fp = ctx_->macro_of(instance).footprint;
   if (p.placed()) grid_.clear(p.col, p.row, fp.width(), fp.height);
   const int hit = scan_runs(instance, end);
   if (p.placed()) grid_.fill(p.col, p.row, fp.width(), fp.height);
-  if (hit < 0) memo = ScanMemo{epoch_, end};
   return hit;
 }
 

@@ -2,12 +2,16 @@
 // reference on seeded random inputs:
 //
 //   * OccupancyGrid region_free / fill / clear against a per-cell bool grid,
-//     rectangles crossing 64-column word boundaries included;
+//     rectangles crossing 64-row word boundaries included;
+//   * OccupancyGrid::first_free_row (the word-parallel column-run scan)
+//     against a per-cell probe, at stride 1 and kBramRowPitch, over windows
+//     starting mid-word and ending on the device's last row, with heights
+//     past 64 rows;
 //   * IndexedIdSet kth / size / contains against a std::set;
-//   * PlacementState::first_free_anchor (memoized column-run scan, lifting a
-//     placed instance) against a per-anchor footprint probe of the
-//     positions, over uniform, non-uniform and BRAM-pitch anchor runs, the
-//     last blocked off the pitch;
+//   * PlacementState::first_free_anchor (column-run scan, lifting a placed
+//     instance) against a per-anchor footprint probe of the positions, over
+//     uniform, non-uniform and BRAM-pitch anchor runs, the last blocked off
+//     the pitch, on the xc7z020 and xc7z045 grids;
 //
 // plus stitch_error itself: every injected fault in a legal result is
 // reported.
@@ -37,9 +41,15 @@ namespace {
 
 using namespace stitch_fixtures;
 
+struct GridShape {
+  int cols, rows;
+  int max_h;  ///< tallest rectangle drawn
+};
+
 TEST(StitchState, OccupancyGridMatchesCellGrid) {
-  for (const auto& [cols, rows] :
-       {std::pair{150, 40}, std::pair{64, 12}, std::pair{5, 3}}) {
+  for (const auto& [cols, rows, max_h] :
+       {GridShape{150, 40, 6}, GridShape{64, 12, 6}, GridShape{5, 3, 6},
+        GridShape{40, 150, 70}, GridShape{7, 200, 70}}) {
     OccupancyGrid grid(cols, rows);
     std::vector<char> cells(static_cast<std::size_t>(cols * rows), 0);
     auto cell = [&](int c, int r) -> char& {
@@ -53,12 +63,12 @@ TEST(StitchState, OccupancyGridMatchesCellGrid) {
       const int w = 1 + static_cast<int>(rng.index(
                             static_cast<std::size_t>(std::min(cols, 70))));
       const int h = 1 + static_cast<int>(rng.index(
-                            static_cast<std::size_t>(std::min(rows, 6))));
+                            static_cast<std::size_t>(std::min(rows, max_h))));
       const int col =
           static_cast<int>(rng.index(static_cast<std::size_t>(cols - w + 1)));
       const int row =
           static_cast<int>(rng.index(static_cast<std::size_t>(rows - h + 1)));
-      if (col / 64 != (col + w - 1) / 64) ++straddling;
+      if (row / 64 != (row + h - 1) / 64) ++straddling;
       switch (rng.index(4)) {
         case 0:
           grid.fill(col, row, w, h);
@@ -91,11 +101,114 @@ TEST(StitchState, OccupancyGridMatchesCellGrid) {
     }
     EXPECT_GT(free_probes, 0);
     EXPECT_GT(busy_probes, 0);
-    if (cols > 64) {
+    if (rows > 64) {
       EXPECT_GT(straddling, 0);
     }
     grid.reset();
     EXPECT_TRUE(grid.region_free(0, 0, cols, rows));
+  }
+}
+
+TEST(StitchState, FirstFreeRowMatchesCellProbe) {
+  // Row counts: one exact word, a partial last word (xc7z020's 150) and
+  // xc7z045's 250 (four words per column). Heights past 128 make the
+  // doubling shift by whole words.
+  for (const auto& [cols, rows, max_h] :
+       {GridShape{6, 64, 40}, GridShape{9, 150, 140},
+        GridShape{12, 250, 200}}) {
+    OccupancyGrid grid(cols, rows);
+    std::vector<char> cells(static_cast<std::size_t>(cols * rows), 0);
+    auto cell = [&](int c, int r) -> char& {
+      return cells[static_cast<std::size_t>(r * cols + c)];
+    };
+    auto paint = [&](int col, int row, int w, int h, char v) {
+      for (int c = col; c < col + w; ++c) {
+        for (int r = row; r < row + h; ++r) cell(c, r) = v;
+      }
+    };
+    Rng rng(static_cast<std::uint64_t>(rows));
+    int hits = 0, misses = 0, tall_hits = 0, word_shift_hits = 0;
+    int pitched_hits = 0;
+    int mid_word = 0, to_last_row = 0;
+    for (int op = 0; op < 6000; ++op) {
+      const int w = 1 + static_cast<int>(rng.index(
+                            static_cast<std::size_t>(std::min(cols, 4))));
+      const int col =
+          static_cast<int>(rng.index(static_cast<std::size_t>(cols - w + 1)));
+      const std::size_t kind = rng.index(10);
+      if (kind < 2) {  // a short block
+        const int h = 1 + static_cast<int>(rng.index(30));
+        const int row = static_cast<int>(
+            rng.index(static_cast<std::size_t>(rows - h + 1)));
+        grid.fill(col, row, w, h);
+        paint(col, row, w, h, 1);
+        continue;
+      }
+      if (kind < 3) {  // a tall hole
+        const int h = 1 + static_cast<int>(
+                              rng.index(static_cast<std::size_t>(rows)));
+        const int row = static_cast<int>(
+            rng.index(static_cast<std::size_t>(rows - h + 1)));
+        grid.clear(col, row, w, h);
+        paint(col, row, w, h, 0);
+        continue;
+      }
+      const int h = 1 + static_cast<int>(rng.index(
+                            static_cast<std::size_t>(std::min(rows, max_h))));
+      const int stride = rng.bernoulli(0.5) ? 1 : kBramRowPitch;
+      const int row_lo = static_cast<int>(
+          rng.index(static_cast<std::size_t>(rows - h + 1)));
+      // A third of the windows end on the last row a footprint fits, a
+      // third reach past it (the scan must not let it hang off the
+      // device), a third end anywhere before.
+      const std::size_t window = rng.index(3);
+      const int row_hi =
+          window == 0 ? rows - h
+          : window == 1
+              ? row_lo + static_cast<int>(rng.index(
+                             static_cast<std::size_t>(rows - row_lo)))
+              : row_lo + static_cast<int>(rng.index(
+                             static_cast<std::size_t>(rows - h - row_lo + 1)));
+      int expected = -1;
+      for (int s = row_lo; s <= std::min(row_hi, rows - h) && expected < 0;
+           s += stride) {
+        bool free = true;
+        for (int c = col; c < col + w; ++c) {
+          for (int r = s; r < s + h; ++r) free = free && cell(c, r) == 0;
+        }
+        if (free) expected = s;
+      }
+      ASSERT_EQ(grid.first_free_row(col, w, h, row_lo, row_hi, stride),
+                expected)
+          << cols << "x" << rows << " op " << op << " col " << col << " w "
+          << w << " h " << h << " rows [" << row_lo << ", " << row_hi
+          << "] stride " << stride;
+      ++(expected >= 0 ? hits : misses);
+      tall_hits += expected >= 0 && h > 64 ? 1 : 0;
+      word_shift_hits += expected >= 0 && h > 128 ? 1 : 0;
+      pitched_hits += expected >= 0 && stride > 1 ? 1 : 0;
+      mid_word +=
+          row_lo % 64 != 0 && row_lo / 64 != (row_hi + h - 1) / 64 ? 1 : 0;
+      to_last_row += row_hi + h >= rows ? 1 : 0;
+    }
+    for (int c = 0; c < cols; ++c) {
+      for (int r = 0; r < rows; ++r) {
+        ASSERT_EQ(grid.occupied(c, r), cell(c, r) != 0) << c << ", " << r;
+      }
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(misses, 0);
+    EXPECT_GT(pitched_hits, 0);
+    EXPECT_GT(to_last_row, 0);
+    if (rows > 64) {
+      EXPECT_GT(mid_word, 0);
+    }
+    if (max_h > 64) {
+      EXPECT_GT(tall_hits, 0);
+    }
+    if (max_h > 128) {
+      EXPECT_GT(word_shift_hits, 0);
+    }
   }
 }
 
@@ -196,8 +309,10 @@ StitchProblem anchor_scan_problem(const Device& dev) {
   return problem;
 }
 
-TEST(StitchState, FirstFreeAnchorMatchesPerAnchorProbe) {
-  const Device dev = xc7z020_model();
+/// first_free_anchor against probe_first_free on anchor_scan_problem(dev),
+/// with the generator's anchors and with gappy ones, over seeded placements
+/// and prefixes.
+void expect_scan_matches_probe(const Device& dev) {
   const StitchProblem problem = anchor_scan_problem(dev);
   const int n = static_cast<int>(problem.instances.size());
   const PlacementContext generated(dev, problem);
@@ -244,9 +359,8 @@ TEST(StitchState, FirstFreeAnchorMatchesPerAnchorProbe) {
                      std::to_string(round) + " instance " +
                      std::to_string(inst) + " end " + std::to_string(end));
         ASSERT_EQ(state.first_free_anchor(inst, end), expected);
-        // Within one epoch: the same call, then a shorter prefix (the memo
-        // of a failure must not leak into a prefix that can still hit, nor
-        // a longer one).
+        // The same call again (the lifted probe must leave the state as it
+        // found it), then a shorter and a longer prefix.
         ASSERT_EQ(state.first_free_anchor(inst, end), expected);
         const std::size_t shorter = rng.index(end + 1);
         ASSERT_EQ(state.first_free_anchor(inst, shorter),
@@ -258,8 +372,7 @@ TEST(StitchState, FirstFreeAnchorMatchesPerAnchorProbe) {
                ? lifted
                : parked);
         ++(expected >= 0 ? hits : misses);
-        // Commit a random move or placement every other round, which moves
-        // the epoch on.
+        // Commit a random move or placement every other round.
         if (round % 2 == 0) {
           const int other =
               static_cast<int>(rng.index(static_cast<std::size_t>(n)));
@@ -276,6 +389,13 @@ TEST(StitchState, FirstFreeAnchorMatchesPerAnchorProbe) {
       EXPECT_GT(hits, 0);
       EXPECT_GT(misses, 0);
     }
+  }
+}
+
+TEST(StitchState, FirstFreeAnchorMatchesPerAnchorProbe) {
+  for (const Device& dev : {xc7z020_model(), xc7z045_model()}) {
+    SCOPED_TRACE(dev.name());
+    expect_scan_matches_probe(dev);
   }
 }
 
